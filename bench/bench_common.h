@@ -14,12 +14,8 @@
 //   DORADB_PIN            1 = pin executors to cores by partition index
 //   DORADB_BASE_WORKERS   >0: baseline runs through a shared request queue
 //                         drained in batches by this many workers
-//   DORADB_EPOCH_BATCH    >0: epoch-batched executor drains — an inbox
-//                         drain of at least this many ready actions runs
-//                         key-sorted with one bulk commit append and
-//                         epoch-granular acks (default 0 = off)
 //   DORADB_PIPELINED      1 = pipelined commit / early lock release
-//                         (default 0; commit batching needs it)
+//                         (default 0)
 //
 // Skew / live-repartitioning knobs:
 //   DORADB_SKEW_THETA     >0: workload key picks (TM1 subscriber, TPC-B
@@ -130,8 +126,6 @@ inline dora::DoraEngine::Options EngineOptionsFromEnv() {
   dora::DoraEngine::Options o;
   o.pin_threads = EnvU64("DORADB_PIN", 0) != 0;
   o.pipelined_commit = EnvU64("DORADB_PIPELINED", 0) != 0;
-  o.epoch_batch_min =
-      static_cast<uint32_t>(EnvU64("DORADB_EPOCH_BATCH", 0));
   return o;
 }
 
@@ -524,46 +518,6 @@ class RebalanceProbe {
  private:
   uint64_t splits0_ = 0;
   uint64_t moved0_ = 0;
-};
-
-// Windowed epoch-batching probe: snapshots every executor's group-size
-// histogram (dora.exec.<g>.batch.group_size) at construction and folds the
-// bucket deltas of all executors into one merged distribution, so
-// GroupP50() reports the median key-sorted group size formed during the
-// window (0 when batching was off or never tripped the threshold).
-class BatchProbe {
- public:
-  explicit BatchProbe(dora::DoraEngine* engine) : engine_(engine) {
-    for (dora::Executor* e : engine_->AllExecutors()) {
-      std::array<uint64_t, Histogram::kNumBuckets> b{};
-      const Histogram* h = e->batch_group_hist();
-      for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-        b[i] = h->BucketCount(i);
-      }
-      base_[e->global_index()] = b;
-    }
-  }
-
-  uint64_t GroupP50() const {
-    std::array<uint64_t, Histogram::kNumBuckets> delta{};
-    uint64_t total = 0;
-    for (dora::Executor* e : engine_->AllExecutors()) {
-      auto it = base_.find(e->global_index());
-      if (it == base_.end()) continue;
-      const Histogram* h = e->batch_group_hist();
-      for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-        const uint64_t d = h->BucketCount(i) - it->second[i];
-        delta[i] += d;
-        total += d;
-      }
-    }
-    if (total == 0) return 0;
-    return obs::LoadHeatmap::DeltaPercentile(delta, total, 50.0);
-  }
-
- private:
-  dora::DoraEngine* const engine_;
-  std::map<uint32_t, std::array<uint64_t, Histogram::kNumBuckets>> base_;
 };
 
 class BenchJson {

@@ -37,7 +37,7 @@ int main() {
       "expected shape: BASE tps_per_load degrades with load while its\n"
       "lockmgr(+cont) share grows; DORA shows near-zero lock manager time\n"
       "(the 'dora' class replaces it). On few-core hosts DORA's absolute\n"
-      "tps is hand-off-bound; see the scaling caveat in EXPERIMENTS.md.\n");
+      "tps is hand-off-bound; measured numbers are in perfbench/README.md.\n");
   BenchJson::Default().Emit("fig1_tm1_getsubdata");
   return 0;
 }

@@ -29,7 +29,6 @@ void Sweep(const char* label, W* workload, dora::DoraEngine* engine,
       // the worst executor's windowed queue-wait percentiles land on the
       // DORA row, making load imbalance visible per ladder step.
       SkewProbe skew(engine);
-      BatchProbe batch(engine);
       RebalanceProbe rebalance;
       const BenchResult r =
           RunBench(workload, MakeConfig(kind, engine, clients, txn_type));
@@ -41,12 +40,7 @@ void Sweep(const char* label, W* workload, dora::DoraEngine* engine,
       JsonRow row = ResultRow(label, EngineName(kind), clients, r);
       if (kind == EngineKind::kDora) {
         skew.Fold(&row);
-        // Epoch-batching telemetry for this ladder step: whether batching
-        // was armed (DORADB_EPOCH_BATCH), the windowed median group size,
-        // and the wakeup amortization it's meant to improve.
-        row.Int("batch", engine->epoch_batch_min() != 0 ? 1 : 0)
-            .Int("batch_group_p50", batch.GroupP50())
-            .Num("wakeups_per_action", delta.wakeups_per_action());
+        row.Num("wakeups_per_action", delta.wakeups_per_action());
         // Skew/rebalance A/B columns: with DORADB_SKEW_THETA>0 and
         // DORADB_REBALANCE=1 the exec_busy_max-exec_busy_min gap above
         // should shrink as migrations land.

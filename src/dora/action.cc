@@ -1,15 +1,9 @@
 #include "dora/action.h"
 
 #include "dora/arena.h"
-#include "dora/executor.h"
 
 namespace doradb {
 namespace dora {
-
-Status ActionEnv::Probe(IndexId index, std::string_view key,
-                        IndexEntry* out) const {
-  return self->ProbeIndex(index, key, out);
-}
 
 FlowGraph FlowGraph::Serialized() && {
   FlowGraph out;

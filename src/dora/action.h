@@ -53,18 +53,17 @@ struct ActionEnv {
   DoraTxn* dtxn;
   Executor* self;
 
-  // Index probe routed through the executor's leaf-cursor cache: inside an
-  // epoch batch, sorted neighbor keys resolve from one B+Tree descent
-  // (storage/btree.h LeafCursor). Falls back to a plain Probe when epoch
-  // batching is off. Defined in action.cc (needs Executor).
-  Status Probe(IndexId index, std::string_view key, IndexEntry* out) const;
+  // First live entry with exactly `key` in index `index`.
+  Status Probe(IndexId index, std::string_view key, IndexEntry* out) const {
+    return db->catalog()->Index(index)->Probe(key, out);
+  }
 };
 
 // Fixed-capacity, allocation-free callable holding an action body. The
-// std::function it replaces heap-allocated every capture over two words —
-// and with epoch batching, dispatch is the per-request hot path. Captures
-// live inline (kCapacity bytes covers the largest workload capture, TPC-C
-// NewOrder's input struct + line index vector) and dispatch goes through a
+// std::function it replaces heap-allocated every capture over two words,
+// and dispatch is the per-request hot path. Captures live inline
+// (kCapacity bytes covers the largest workload capture, TPC-C NewOrder's
+// input struct + line index vector) and dispatch goes through a
 // per-capture-type static op table. Move-only, like the unique captures it
 // stores; moves relocate the capture, so Action vectors recycle cleanly.
 class ActionBody {
@@ -249,7 +248,7 @@ class FlowGraph {
   }
 
   // §A.4: derive the serial plan — each action in its own phase, in order.
-  // The resource manager switches high-abort transactions to this plan
+  // PlanAdvisor recommends this plan for high-abort transactions
   // ("inserting empty rendezvous points between actions of the same phase").
   FlowGraph Serialized() &&;
 

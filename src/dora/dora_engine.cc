@@ -17,9 +17,7 @@ namespace doradb {
 namespace dora {
 
 DoraEngine::DoraEngine(Database* db, Options options)
-    : db_(db),
-      options_(options),
-      epoch_batch_min_(options.epoch_batch_min) {}
+    : db_(db), options_(options) {}
 
 DoraEngine::~DoraEngine() { Stop(); }
 
@@ -89,15 +87,13 @@ void DoraEngine::Start() {
   while (arenas_.size() < n_arenas) {
     arenas_.push_back(std::make_unique<TxnArena>());
   }
-  if (options_.hold_table_locks) {
-    // §4.1.3: executors implicitly hold a table IX lock across
-    // transactions — modeled by one long-lived system transaction, so
-    // client transactions never touch the table locks.
-    system_txn_ = db_->Begin();
-    for (auto& [table, group] : tables_) {
-      (void)db_->lock_manager()->LockTable(system_txn_.get(), table,
-                                           LockMode::kIX);
-    }
+  // §4.1.3: executors implicitly hold a table IX lock across transactions
+  // — modeled by one long-lived system transaction, so client transactions
+  // never touch the table locks.
+  system_txn_ = db_->Begin();
+  for (auto& [table, group] : tables_) {
+    (void)db_->lock_manager()->LockTable(system_txn_.get(), table,
+                                         LockMode::kIX);
   }
   if (options_.pipelined_commit) {
     // One commit-ack queue per log partition, sharded over at most
@@ -134,9 +130,9 @@ void DoraEngine::Start() {
   heatmap_token_ = obs::LoadHeatmap::Default().RegisterSource([this] {
     std::vector<obs::ExecLoadRaw> out;
     for (Executor* e : AllExecutors()) {
-      out.push_back(obs::ExecLoadRaw{
-          e->global_index(), static_cast<uint64_t>(e->inbox_depth()),
-          e->actions_executed(), e->busy_cycles(), e->queue_wait_hist()});
+      out.push_back(obs::ExecLoadRaw{e->global_index(), e->inbox_depth(),
+                                     e->actions_executed(), e->busy_cycles(),
+                                     e->queue_wait_hist()});
     }
     return out;
   });
@@ -177,12 +173,6 @@ void DoraEngine::Start() {
      }, kCtr, "wakes");
   cb("dora.actions.executed", [this] {
        return static_cast<int64_t>(CollectInboxStats().actions);
-     }, kCtr, "actions");
-  cb("dora.epoch.groups", [this] {
-       return static_cast<int64_t>(CollectInboxStats().epoch_groups);
-     }, kCtr, "groups");
-  cb("dora.epoch.actions", [this] {
-       return static_cast<int64_t>(CollectInboxStats().epoch_actions);
      }, kCtr, "actions");
   // Per-executor load signals — the direct prerequisite for the ROADMAP's
   // live-repartitioning item: depth says "queued now", load says "served
@@ -487,44 +477,13 @@ void DoraEngine::FanOutCompletions(DoraTxn* dtxn) {
   }
 }
 
-void DoraEngine::FinalizeInline(DoraTxn* dtxn) {
-  Transaction* txn = dtxn->txn();
-  obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
-  if (dtxn->prof.armed) {
-    dtxn->prof.Stamp(obs::TraceStage::kDurable);
-  }
-  const Status s = db_->CommitFinalize(txn);
-  committed_.fetch_add(1, std::memory_order_relaxed);
-  pipelined_.fetch_add(1, std::memory_order_relaxed);
-  acked_inline_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::MetricsEnabled() && txn->start_tsc() != 0) {
-    Database::CommitLatencyHistogram()->Record(static_cast<uint64_t>(
-        Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
-  }
-  obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
-  if (dtxn->prof.armed) {
-    dtxn->prof.Stamp(obs::TraceStage::kAck);
-    obs::StageGapProfiler::RecordTxn(dtxn->prof);
-  }
-  dtxn->Complete(s);
-}
-
-void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
+void DoraEngine::FinishTxn(DoraTxn* dtxn) {
   // A degraded engine takes the synchronous fallback below: Database::
   // Commit handles the read-only/rollback split and surfaces the typed
   // Unavailable — pipelining a commit that can never become durable would
   // only park it in an ack queue to fail later.
   if (!dtxn->aborted() && options_.pipelined_commit && !ack_shards_.empty() &&
       !obs::EngineHealth::Default().degraded()) {
-    // Mid-epoch finish: park the commit for the epoch-close bulk append.
-    // Locks stay held until CommitEpoch's fan-out — which runs AFTER the
-    // epoch's GSNs are drawn, preserving the dependent-GSN ordering ELR
-    // relies on. Bounded deferral: the epoch closes within this same
-    // ProcessInbox iteration.
-    if (self != nullptr && self->epoch_capture_) {
-      self->epoch_commits_.push_back(dtxn);
-      return;
-    }
     // Pipelined commit (§5.4 flush pipelining + ELR): append the commit
     // record, release thread-local locks immediately, queue the ack, and
     // let this executor pick up its next action instead of stalling in
@@ -542,7 +501,25 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
     // commit is durable right now — finalize and complete the client on
     // this executor instead of round-tripping through the ack daemon.
     if (db_->log_manager()->flushed_lsn() >= commit_gsn) {
-      FinalizeInline(dtxn);
+      Transaction* txn = dtxn->txn();
+      obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
+      if (dtxn->prof.armed) {
+        dtxn->prof.Stamp(obs::TraceStage::kDurable);
+      }
+      const Status s = db_->CommitFinalize(txn);
+      committed_.fetch_add(1, std::memory_order_relaxed);
+      pipelined_.fetch_add(1, std::memory_order_relaxed);
+      acked_inline_.fetch_add(1, std::memory_order_relaxed);
+      if (obs::MetricsEnabled() && txn->start_tsc() != 0) {
+        Database::CommitLatencyHistogram()->Record(static_cast<uint64_t>(
+            Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
+      }
+      obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
+      if (dtxn->prof.armed) {
+        dtxn->prof.Stamp(obs::TraceStage::kAck);
+        obs::StageGapProfiler::RecordTxn(dtxn->prof);
+      }
+      dtxn->Complete(s);
       return;
     }
     dtxn->Ref();  // the ack queue's reference
@@ -606,55 +583,6 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
     obs::StageGapProfiler::RecordTxn(dtxn->prof);
   }
   dtxn->Complete(std::move(final_status));
-}
-
-void DoraEngine::CommitEpoch(Executor* self) {
-  auto& dtxns = self->epoch_commits_;
-  const size_t n = dtxns.size();
-  if (n == 0) return;
-  // One log-buffer reservation covers the epoch's commit records
-  // (log.bulk_reservations). GSNs come out of the bulk append in issue
-  // order, so commit_gsns_ is monotonically increasing.
-  self->commit_txns_.resize(n);
-  self->commit_gsns_.resize(n);
-  for (size_t i = 0; i < n; ++i) self->commit_txns_[i] = dtxns[i]->txn();
-  db_->CommitAsyncBulk(self->commit_txns_.data(), n, self->commit_recs_,
-                       self->commit_rec_ptrs_, self->commit_gsns_.data());
-  for (size_t i = 0; i < n; ++i) {
-    obs::CommitTracer::Stamp(dtxns[i]->txn()->id(),
-                             obs::TraceStage::kCommitAppend);
-    if (dtxns[i]->prof.armed) {
-      dtxns[i]->prof.Stamp(obs::TraceStage::kCommitAppend);
-    }
-  }
-  // Early lock release for the whole epoch — only now, with every commit
-  // GSN drawn, so any transaction that acquires these locks afterwards
-  // draws a strictly larger GSN (the ack-ordering invariant).
-  for (size_t i = 0; i < n; ++i) FanOutCompletions(dtxns[i]);
-  // Epoch-granular ack: one horizon read decides the whole batch. GSNs
-  // increase with i, so the covered commits form a prefix — finalize those
-  // inline; the suffix takes one batched handoff (single lock, single
-  // wake) to this executor's bound ack queue.
-  const Lsn flushed = db_->log_manager()->flushed_lsn();
-  size_t covered = 0;
-  while (covered < n && self->commit_gsns_[covered] <= flushed) ++covered;
-  for (size_t i = 0; i < covered; ++i) FinalizeInline(dtxns[i]);
-  if (covered < n) {
-    const uint32_t partition = db_->log_manager()->CurrentPartition() %
-                               db_->log_manager()->num_partitions();
-    const uint32_t shards = static_cast<uint32_t>(ack_shards_.size());
-    AckShard* shard = ack_shards_[partition % shards].get();
-    {
-      std::lock_guard<std::mutex> g(shard->mu);
-      auto& queue = shard->queues[partition / shards].second;
-      for (size_t i = covered; i < n; ++i) {
-        dtxns[i]->Ref();  // the ack queue's reference
-        queue.push_back(CommitAck{dtxns[i], self->commit_gsns_[i]});
-      }
-    }
-    shard->cv.notify_one();
-  }
-  dtxns.clear();
 }
 
 namespace {
@@ -780,19 +708,6 @@ Status DoraEngine::MigrateRoutingRule(TableId table,
   return Status::OK();
 }
 
-Status DoraEngine::Rebalance(TableId table,
-                             std::shared_ptr<const RoutingRule> rule) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::InvalidArgument("unknown table");
-  auto current = it->second->routing.Current();
-  if (rule->version <= current->version) {
-    auto stamped = std::make_shared<RoutingRule>(*rule);
-    stamped->version = current->version + 1;
-    rule = std::move(stamped);
-  }
-  return MigrateRoutingRule(table, std::move(rule));
-}
-
 DoraEngine::InboxStats DoraEngine::CollectInboxStats() const {
   InboxStats s;
   for (const auto& [table, group] : tables_) {
@@ -801,8 +716,6 @@ DoraEngine::InboxStats DoraEngine::CollectInboxStats() const {
       s.items += e->inbox_items();
       s.wakeups += e->inbox_wakeups();
       s.actions += e->actions_executed();
-      s.epoch_groups += e->epoch_groups();
-      s.epoch_actions += e->epoch_group_actions();
     }
   }
   s.tickets = tickets_.issued();

@@ -2,12 +2,9 @@
 
 #include <sched.h>
 
-#include <algorithm>
-
 #include "dora/dora_engine.h"
 #include "dora/ticket.h"
 #include "obs/trace.h"
-#include "storage/catalog.h"
 #include "util/thread_pool.h"
 
 namespace doradb {
@@ -27,9 +24,6 @@ Executor::Executor(DoraEngine* engine, Database* db, TableId table,
       queue_wait_hist_(obs::MetricsRegistry::Default().GetHistogram(
           "dora.exec." + std::to_string(global_index) + ".queue_wait_ns",
           "ns")),
-      batch_group_hist_(obs::MetricsRegistry::Default().GetHistogram(
-          "dora.exec." + std::to_string(global_index) + ".batch.group_size",
-          "actions")),
       ticket_deferred_(obs::MetricsRegistry::Default().GetCounter(
           "dora.tickets.deferred", "actions")) {}
 
@@ -202,30 +196,13 @@ bool Executor::ProcessInbox(MpscNode* chain) {
       }
       comps_.clear();
     }
-    // Then unticketed (single-queue) actions, FIFO. With epoch batching on
-    // and a deep enough backlog (ready + ticketed-deferred), admission
-    // still runs FIFO — the batching reorders only the execution of
-    // actions whose locks were GRANTED, which is conflict-free by
-    // construction — but granted actions are captured into a key-sorted
-    // epoch run and the epoch closes with one bulk commit append. The
-    // capture window also spans the ticket-ordered admission below
-    // (admission order, the thing §4.2.3 relies on, is untouched either
-    // way). Below the threshold (or with batching off) this is
-    // byte-for-byte the per-action path: no latency cliff at low load.
-    const uint32_t min_batch = engine_->epoch_batch_min();
+    // Then unticketed (single-queue) actions, FIFO.
     if (!ready_.empty()) {
       did = true;
-      if (min_batch != 0 && !epoch_capture_ &&
-          ready_.size() + deferred_.size() >= min_batch) {
-        epoch_capture_ = true;
-      }
       for (size_t i = 0; i < ready_.size(); ++i) AdmitAction(ready_[i]);
       ready_.clear();
     }
-    if (deferred_.empty()) {
-      FlushEpoch();
-      return did;
-    }
+    if (deferred_.empty()) return did;
     // Ticket-ordered admission (§4.2.3 without latches): an action with
     // ticket t may be admitted only after (a) observing the published
     // horizon at >= t and (b) draining the inbox once more AFTER that
@@ -235,10 +212,7 @@ bool Executor::ProcessInbox(MpscNode* chain) {
     // order here therefore matches the global ticket order at every
     // executor, which is exactly what the ordered-latch protocol enforced.
     const uint64_t h = engine_->tickets().horizon();
-    if (deferred_.front()->ticket > h) {
-      FlushEpoch();
-      return did;
-    }
+    if (deferred_.front()->ticket > h) return did;
     {
       ScopedTimeClass timer(TimeClass::kDoraQueue);
       Classify(inbox_.TryDrain());
@@ -254,26 +228,10 @@ bool Executor::ProcessInbox(MpscNode* chain) {
     while (admit < deferred_.size() && deferred_[admit]->ticket <= h) {
       ++admit;
     }
-    // Ticketed actions batch too: the covered prefix is admitted in ticket
-    // order exactly as before; only the execution of its granted subset is
-    // deferred into the epoch run.
-    if (min_batch != 0 && !epoch_capture_ && admit >= min_batch) {
-      epoch_capture_ = true;
-    }
     for (size_t i = 0; i < admit; ++i) AdmitAction(deferred_[i]);
     deferred_.erase(deferred_.begin(), deferred_.begin() + admit);
     did = true;
   }
-}
-
-void Executor::FlushEpoch() {
-  if (!epoch_capture_) return;
-  // Order matters: the run executes while capture is still on, so every
-  // pipelined commit it finishes lands in epoch_commits_; the epoch then
-  // closes with one bulk append + batched acks for all of them.
-  ExecuteEpochRun();
-  epoch_capture_ = false;
-  CloseEpoch();
 }
 
 void Executor::AdmitAction(Action* a) {
@@ -285,64 +243,8 @@ void Executor::AdmitAction(Action* a) {
     engine_->Redispatch(a);
     return;
   }
-  if (locks_.TryAcquire(a)) {
-    if (epoch_capture_) {
-      // Epoch batch: lock admission happened in arrival order (above);
-      // execution is deferred into the key-sorted run.
-      epoch_run_.push_back(a);
-    } else {
-      ExecuteGranted(a);
-    }
-  }
+  if (locks_.TryAcquire(a)) ExecuteGranted(a);
   // else parked: a Release will hand it back via `runnable`.
-}
-
-void Executor::ExecuteEpochRun() {
-  if (epoch_run_.empty()) return;
-  // Granted actions of different transactions never conflict (a conflict
-  // would have parked the later one), and stable sorting preserves arrival
-  // order among equal keys (same-transaction sequences), so reordering
-  // execution by key is serialization-neutral. Sorting lines neighboring
-  // keys up so ProbeIndex resolves them from one B+Tree descent.
-  std::stable_sort(epoch_run_.begin(), epoch_run_.end(),
-                   [](const Action* a, const Action* b) {
-                     if (a->table != b->table) return a->table < b->table;
-                     return a->routing_value < b->routing_value;
-                   });
-  const bool metrics = obs::MetricsEnabled();
-  size_t group_start = 0;
-  for (size_t i = 1; i <= epoch_run_.size(); ++i) {
-    if (i == epoch_run_.size() ||
-        epoch_run_[i]->table != epoch_run_[group_start]->table) {
-      const uint64_t n = i - group_start;
-      epoch_groups_.fetch_add(1, std::memory_order_relaxed);
-      epoch_group_actions_.fetch_add(n, std::memory_order_relaxed);
-      if (metrics) batch_group_hist_->Record(n);
-      group_start = i;
-    }
-  }
-  for (Action* a : epoch_run_) ExecuteGranted(a);
-  epoch_run_.clear();
-}
-
-void Executor::CloseEpoch() {
-  if (epoch_commits_.empty()) return;
-  engine_->CommitEpoch(this);
-}
-
-Status Executor::ProbeIndex(IndexId index, std::string_view key,
-                            IndexEntry* out) {
-  BTree* tree = db_->catalog()->Index(index);
-  if (tree == nullptr) return Status::NotFound("no such index");
-  if (engine_->epoch_batch_min() == 0) return tree->Probe(key, out);
-  for (auto& c : cursors_) {
-    if (c.index == index) return tree->ProbeCached(key, out, &c.cursor);
-  }
-  if (cursors_.size() < kMaxCursors) {
-    cursors_.push_back(IndexCursor{index, LeafCursor()});
-    return tree->ProbeCached(key, out, &cursors_.back().cursor);
-  }
-  return tree->Probe(key, out);
 }
 
 void Executor::ExpireStaleParked(uint64_t timeout_cycles) {
@@ -407,7 +309,7 @@ void Executor::ReportToRvp(Action* a) {
   // commit/abort if this was the terminal RVP (or the txn aborted).
   const bool terminal = a->phase + 1 >= dtxn->num_phases();
   if (terminal || dtxn->aborted()) {
-    engine_->FinishTxn(dtxn, this);
+    engine_->FinishTxn(dtxn);
   } else {
     engine_->DispatchPhase(dtxn, a->phase + 1);
   }

@@ -3,8 +3,8 @@
 //
 // A routing rule partitions a table's routing-field domain into contiguous
 // ranges, one per dataset; each dataset is owned by one executor. Rules are
-// maintained at runtime by the resource manager, which swaps in a new rule
-// version to rebalance load (§A.2.1). Dispatchers read rules lock-free via
+// maintained at runtime by the RebalanceController (rebalance.h), which
+// swaps in a new rule version to rebalance load (§A.2.1). Dispatchers read rules lock-free via
 // shared_ptr snapshots; executors re-validate ownership on dequeue, so a
 // stale-routed action bounces to the right executor instead of executing on
 // the wrong one.

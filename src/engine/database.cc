@@ -313,25 +313,6 @@ Lsn Database::CommitAsync(Transaction* txn) {
   return txn->ChainAppend(log_.get(), &rec);
 }
 
-void Database::CommitAsyncBulk(Transaction* const* txns, size_t n,
-                               std::vector<LogRecord>& recs,
-                               std::vector<LogRecord*>& ptrs, Lsn* out_lsn) {
-  recs.resize(n);
-  ptrs.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    recs[i] = LogRecord();
-    recs[i].type = LogType::kCommit;
-    recs[i].txn = txns[i]->id();
-    recs[i].prev_lsn = txns[i]->last_lsn();
-    ptrs[i] = &recs[i];
-  }
-  log_->AppendBulk(ptrs.data(), n);
-  for (size_t i = 0; i < n; ++i) {
-    txns[i]->set_last_lsn(recs[i].lsn);
-    out_lsn[i] = recs[i].lsn;
-  }
-}
-
 Status Database::CommitFinalize(Transaction* txn) {
   // Post-commit work, outside the transaction: physical frees of deleted
   // slots and DORA's secondary-index delete flagging (§4.2.2).

@@ -162,17 +162,6 @@ class Database {
   // caller surfaces the typed error to the client.
   Status CommitIndeterminate(Transaction* txn, Status why);
 
-  // Bulk CommitAsync for DORA's epoch-batched commit path: builds all n
-  // commit records and hands them to the log backend in ONE AppendBulk
-  // call (one buffer-latch reservation on the plog). out_lsn[i] receives
-  // txns[i]'s commit LSN. Caller contract: every transaction is quiescent
-  // — its terminal action finished, so no sibling is appending to its
-  // chain concurrently (the per-txn chain lock is not taken). `recs` and
-  // `ptrs` are caller-owned scratch reused across calls.
-  void CommitAsyncBulk(Transaction* const* txns, size_t n,
-                       std::vector<LogRecord>& recs,
-                       std::vector<LogRecord*>& ptrs, Lsn* out_lsn);
-
   // Abort: roll back heap ops via the in-memory undo chain (logging CLRs),
   // reverse index ops logically, release locks.
   Status Abort(Transaction* txn);

@@ -16,11 +16,13 @@ void ActiveTxnTable::Unregister(TxnId id) {
   s.map.erase(id);
 }
 
-Transaction* ActiveTxnTable::Find(TxnId id) const {
+bool ActiveTxnTable::WaitsForOf(TxnId id, std::vector<TxnId>* out) const {
   const Shard& s = ShardFor(id);
   TatasGuard g(s.lock, TimeClass::kLockOther);
   auto it = s.map.find(id);
-  return it == s.map.end() ? nullptr : it->second;
+  if (it == s.map.end()) return false;
+  *out = it->second->WaitsForSnapshot();
+  return true;
 }
 
 size_t ActiveTxnTable::Size() const {
@@ -36,12 +38,9 @@ bool DeadlockDetector::WouldDeadlock(TxnId self) const {
   ScopedTimeClass timer(TimeClass::kLockOther);
   // Iterative DFS; the graph is tiny (bounded by blocked transactions).
   std::vector<TxnId> stack;
+  if (!txns_->WaitsForOf(self, &stack)) return false;
   std::vector<TxnId> visited;
-  {
-    Transaction* t = txns_->Find(self);
-    if (t == nullptr) return false;
-    for (TxnId h : t->WaitsForSnapshot()) stack.push_back(h);
-  }
+  std::vector<TxnId> edges;
   while (!stack.empty()) {
     const TxnId cur = stack.back();
     stack.pop_back();
@@ -58,9 +57,9 @@ bool DeadlockDetector::WouldDeadlock(TxnId self) const {
     }
     if (seen) continue;
     visited.push_back(cur);
-    Transaction* t = txns_->Find(cur);
-    if (t == nullptr) continue;  // already finished; edge is stale
-    for (TxnId h : t->WaitsForSnapshot()) stack.push_back(h);
+    // A finished transaction's edge is stale: skip it.
+    if (!txns_->WaitsForOf(cur, &edges)) continue;
+    stack.insert(stack.end(), edges.begin(), edges.end());
   }
   return false;
 }

@@ -23,16 +23,20 @@ namespace doradb {
 
 class Transaction;
 
-// Sharded registry of active transactions, so the detector can resolve
-// TxnId -> Transaction* to read waits-for edges.
+// Sharded registry of active transactions, so the detector can read a
+// TxnId's waits-for edges.
 class ActiveTxnTable {
  public:
   static constexpr size_t kShards = 64;
 
   void Register(Transaction* txn);
   void Unregister(TxnId id);
-  // May return nullptr if the transaction already finished.
-  Transaction* Find(TxnId id) const;
+  // Copy `id`'s waits-for edges into *out; false if the transaction already
+  // finished. The copy happens under the shard lock, which pins the
+  // transaction: its owner unregisters it (TxnManager::Finish) before
+  // freeing it. Lock order: shard lock, then the transaction's waits lock;
+  // nothing takes them the other way round.
+  bool WaitsForOf(TxnId id, std::vector<TxnId>* out) const;
   size_t Size() const;
 
  private:

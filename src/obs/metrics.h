@@ -7,8 +7,8 @@
 // (ThreadStats, DoraEngine::InboxStats, DurabilityStats) that only the
 // benchmark rigs knew how to read. The registry gives every counter one
 // home, one naming scheme, and one snapshot surface (text + JSON), so the
-// adaptive-execution roadmap items (live repartitioning, epoch batching,
-// admission control) can consume live telemetry instead of bench plumbing.
+// adaptive-execution roadmap items (live repartitioning, admission control)
+// can consume live telemetry instead of bench plumbing.
 //
 // Hot-path discipline (same as ThreadStats::SwitchClass): counters are
 // sharded across cache-line-padded per-thread slots written with relaxed

@@ -24,29 +24,6 @@ Lsn LogPartition::Append(LogRecord* rec) {
   return gsn;
 }
 
-Lsn LogPartition::AppendBulk(LogRecord* const* recs, size_t n) {
-  if (n == 0) return kInvalidLsn;
-  Lsn last = kInvalidLsn;
-  {
-    TatasGuard g(buffer_latch_, TimeClass::kLogContention);
-    ScopedTimeClass timer(TimeClass::kLogWork);
-    for (size_t i = 0; i < n; ++i) {
-      const Lsn gsn = clock_->Next();
-      recs[i]->lsn = gsn;
-      recs[i]->SerializeTo(&buffer_);
-      last = gsn;
-    }
-    buffer_last_gsn_ = last;
-  }
-  appends_.fetch_add(n, std::memory_order_relaxed);
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
-        "log.bulk_reservations", "batches");
-    c->Add();
-  }
-  return last;
-}
-
 void LogPartition::Flush(bool force_watermark) {
   // Histogram records happen after stable_mu_ drops: commit acks gate on
   // this mutex, so any cycles spent inside it (including the rdtsc pair)

@@ -54,14 +54,6 @@ class LogPartition {
   // Stamp `rec` with a fresh GSN and buffer it. Returns the GSN.
   Lsn Append(LogRecord* rec);
 
-  // Stamp and buffer `n` records under ONE buffer-latch reservation —
-  // the per-record latch/unlatch cost of the commit hot path paid once
-  // per batch. GSNs are drawn consecutively inside the critical section
-  // (no pre-reservation, no staleness), so the buffer stays in GSN order
-  // and every Flush watermark claim holds unchanged. Returns the last
-  // GSN assigned, or kInvalidLsn when n == 0.
-  Lsn AppendBulk(LogRecord* const* recs, size_t n);
-
   // Move buffered bytes to the stable stream, make them durable, and
   // advance the watermark.
   //

@@ -133,13 +133,6 @@ Lsn PartitionedLogManager::Append(LogRecord* rec) {
   return gsn;
 }
 
-Lsn PartitionedLogManager::AppendBulk(LogRecord* const* recs, size_t n) {
-  if (n == 0) return kInvalidLsn;
-  const Lsn last = partitions_[LocalIndex()]->AppendBulk(recs, n);
-  if (options_.log.synchronous) (void)WaitFlushed(last);
-  return last;
-}
-
 Lsn PartitionedLogManager::flushed_lsn() const {
   Lsn h = partitions_[0]->watermark();
   for (size_t i = 1; i < partitions_.size(); ++i) {

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "obs/metrics.h"
-
 namespace doradb {
 
 std::string PrefixUpperBound(std::string_view prefix) {
@@ -21,11 +19,7 @@ std::string PrefixUpperBound(std::string_view prefix) {
 }
 
 BTree::BTree(BufferPool* pool, IndexId index_id, bool unique)
-    : pool_(pool),
-      index_id_(index_id),
-      unique_(unique),
-      descents_saved_metric_(obs::MetricsRegistry::Default().GetCounter(
-          "btree.descents_saved", "descents")) {
+    : pool_(pool), index_id_(index_id), unique_(unique) {
   PageGuard guard;
   PageId pid;
   const Status s = pool_->NewPage(&guard, &pid);
@@ -251,7 +245,6 @@ Status BTree::ExclusiveInsert(std::string_view key, const IndexEntry& entry) {
     new_root.MarkDirty();
     new_root.Unlatch();
     root_ = new_root_pid;
-    structure_version_.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::OK();
 }
@@ -304,7 +297,6 @@ Status BTree::InsertRecursive(PageId node_pid, std::string_view key,
       h->next_leaf = right_pid;
       h->count = mid;
       splits_.fetch_add(1, std::memory_order_relaxed);
-      structure_version_.fetch_add(1, std::memory_order_relaxed);
 
       *split_key = std::string(rents[0].KeyView());
       *split_page = right_pid;
@@ -406,7 +398,6 @@ Status BTree::InsertRecursive(PageId node_pid, std::string_view key,
   rh->count = right_count;
   h->count = mid;
   splits_.fetch_add(1, std::memory_order_relaxed);
-  structure_version_.fetch_add(1, std::memory_order_relaxed);
 
   // Insert the pending separator into the proper half.
   uint8_t* target = Compare(child_split_key, promoted) < 0 ? p : right.data();
@@ -446,68 +437,6 @@ Status BTree::Probe(std::string_view key, IndexEntry* out) const {
   DORADB_RETURN_NOT_OK(DescendToLeaf(key, /*exclusive_leaf=*/false, &leaf));
   const uint8_t* p = leaf.data();
   const NodeHeader* h = Node(p);
-  const LeafEntry* ents = Leaves(p);
-  for (uint16_t i = LowerBound(p, key);
-       i < h->count && Compare(ents[i].KeyView(), key) == 0; ++i) {
-    if (ents[i].deleted()) continue;
-    out->rid = ents[i].rid();
-    out->aux = ents[i].aux;
-    out->deleted = false;
-    return Status::OK();
-  }
-  return Status::NotFound("key not in index");
-}
-
-void BTree::FillCursor(const uint8_t* p, PageId pid,
-                       LeafCursor* cursor) const {
-  const NodeHeader* h = Node(p);
-  if (h->count == 0) {
-    cursor->Invalidate();
-    return;
-  }
-  const LeafEntry* ents = Leaves(p);
-  cursor->leaf = pid;
-  cursor->version = structure_version_.load(std::memory_order_relaxed);
-  cursor->lo_len = ents[0].key_len;
-  std::memcpy(cursor->lo, ents[0].key, ents[0].key_len);
-  cursor->hi_len = ents[h->count - 1].key_len;
-  std::memcpy(cursor->hi, ents[h->count - 1].key, ents[h->count - 1].key_len);
-  cursor->rightmost = (h->next_leaf == kInvalidPageId);
-}
-
-Status BTree::ProbeCached(std::string_view key, IndexEntry* out,
-                          LeafCursor* cursor) const {
-  ReadGuard tree(tree_latch_, TimeClass::kBufferContention);
-  PageGuard leaf;
-  bool hit = false;
-  // The cached entry bounds are a conservative subset of the leaf's
-  // separator range: if the key falls inside them (or above them on the
-  // rightmost leaf) and no SMO happened since the fill, this leaf is still
-  // the unique leaf that can hold the key. The version read is stable for
-  // the whole probe — SMOs take the tree latch exclusive.
-  if (cursor->Valid() &&
-      cursor->version ==
-          structure_version_.load(std::memory_order_relaxed)) {
-    const std::string_view lo(reinterpret_cast<const char*>(cursor->lo),
-                              cursor->lo_len);
-    const std::string_view hi(reinterpret_cast<const char*>(cursor->hi),
-                              cursor->hi_len);
-    if (Compare(key, lo) >= 0 &&
-        (cursor->rightmost || Compare(key, hi) <= 0)) {
-      if (pool_->FetchPage(cursor->leaf, &leaf).ok()) {
-        leaf.LatchShared();
-        hit = true;
-        descents_saved_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::MetricsEnabled()) descents_saved_metric_->Add();
-      }
-    }
-  }
-  if (!hit) {
-    DORADB_RETURN_NOT_OK(DescendToLeaf(key, /*exclusive_leaf=*/false, &leaf));
-  }
-  const uint8_t* p = leaf.data();
-  const NodeHeader* h = Node(p);
-  FillCursor(p, h->base.page_id, cursor);
   const LeafEntry* ents = Leaves(p);
   for (uint16_t i = LowerBound(p, key);
        i < h->count && Compare(ents[i].KeyView(), key) == 0; ++i) {

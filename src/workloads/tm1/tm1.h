@@ -9,7 +9,7 @@
 #include <atomic>
 #include <memory>
 
-#include "dora/resource_manager.h"
+#include "dora/plan_advisor.h"
 #include "workloads/common/workload.h"
 
 namespace doradb {

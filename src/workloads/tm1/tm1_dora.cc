@@ -36,7 +36,6 @@ Status Tm1Workload::DoraGetSubscriberData(dora::DoraEngine* e, Rng& rng) {
       schema_.subscriber, s_id, dora::LocalMode::kS,
       [this, s_id](dora::ActionEnv& env) -> Status {
         IndexEntry ie;
-        // env.Probe: leaf-cursor cached under epoch batching.
         DORADB_RETURN_NOT_OK(
             env.Probe(schema_.sub_pk, Schema::SubKey(s_id), &ie));
         std::string bytes;

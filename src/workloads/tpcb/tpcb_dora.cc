@@ -31,7 +31,6 @@ Status TpcbWorkload::RunDora(dora::DoraEngine* e, uint32_t, Rng& rng) {
       .AddAction(schema_.account, in.a_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
-                   // env.Probe: leaf-cursor cached under epoch batching.
                    DORADB_RETURN_NOT_OK(env.Probe(
                        schema_.account_pk, Schema::Key(in.a_id), &ie));
                    std::string bytes;

@@ -139,7 +139,6 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
           uint32_t o_id;
           if (OldestNewOrder(w_id, d, &o_id).IsNotFound()) continue;
           IndexEntry ie;
-          // env.Probe: leaf-cursor cached under epoch batching.
           DORADB_RETURN_NOT_OK(env.Probe(
               schema_.no_pk, Schema::NoKey(w_id, d, o_id), &ie));
           DORADB_RETURN_NOT_OK(

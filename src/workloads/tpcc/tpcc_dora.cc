@@ -44,7 +44,6 @@ Status TpccWorkload::DoraPayment(dora::DoraEngine* e, Rng& rng) {
       .AddAction(schema_.warehouse, in.w_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
-                   // env.Probe: leaf-cursor cached under epoch batching.
                    DORADB_RETURN_NOT_OK(env.Probe(
                        schema_.wh_pk, Schema::WhKey(in.w_id), &ie));
                    std::string bytes;

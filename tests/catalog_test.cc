@@ -53,8 +53,8 @@ Database::Options DurableOpts(const std::string& dir,
 
 TEST(CatalogStoreTest, ImageRoundTripsThroughSerialization) {
   CatalogImage img;
-  img.tables.push_back(CatalogImage::Table{0, "accounts", 1001, 4});
-  img.tables.push_back(CatalogImage::Table{1, "history", 0, 0});
+  img.tables.push_back(CatalogImage::Table{0, "accounts", 1001, 4, {}, {}});
+  img.tables.push_back(CatalogImage::Table{1, "history", 0, 0, {}, {}});
   CatalogImage::Index pk;
   pk.id = 0;
   pk.name = "accounts_pk";
@@ -97,7 +97,7 @@ TEST(CatalogStoreTest, ImageRoundTripsThroughSerialization) {
 
 TEST(CatalogStoreTest, DeserializeRejectsBadMagicVersionAndChecksum) {
   CatalogImage img;
-  img.tables.push_back(CatalogImage::Table{0, "t", 0, 0});
+  img.tables.push_back(CatalogImage::Table{0, "t", 0, 0, {}, {}});
   std::vector<uint8_t> bytes;
   CatalogStore::Serialize(img, &bytes);
 

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "dora/dora_engine.h"
-#include "dora/resource_manager.h"
+#include "dora/plan_advisor.h"
 #include "util/rng.h"
 
 namespace doradb {
@@ -370,6 +370,72 @@ TEST_F(DoraEngineTest, SameGraphTxnsNeverDeadlock) {
             uint64_t(kThreads * kIters) + 0u);
 }
 
+TEST_F(DoraEngineTest, TicketedGraphsNeverDeadlockBesideSingleActions) {
+  // Ticketed two-executor graphs share their executors and keys with
+  // unticketed single-action increments: ticket-ordered admission must
+  // neither starve nor deadlock beside the FIFO path, and no increment may
+  // be lost.
+  const uint64_t keys[2] = {3, 77};
+  Rid rids[2];
+  for (int k = 0; k < 2; ++k) {
+    auto dtxn = engine_->BeginTxn();
+    FlowGraph g;
+    g.AddPhase().AddAction(table_a_, keys[k], LocalMode::kX,
+                           [&, k](ActionEnv& env) {
+      return env.db->Insert(env.txn, table_a_, "00000000", &rids[k],
+                            AccessOptions::RidOnly());
+    });
+    ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+  }
+  constexpr int kGraphThreads = 4, kIncThreads = 2, kIters = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kGraphThreads; ++t) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        auto dtxn = engine_->BeginTxn();
+        FlowGraph g;
+        g.AddPhase()
+            .AddAction(table_a_, keys[0], LocalMode::kX,
+                       [](ActionEnv&) { return Status::OK(); })
+            .AddAction(table_a_, keys[1], LocalMode::kX,
+                       [](ActionEnv&) { return Status::OK(); });
+        if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
+      }
+    });
+  }
+  for (int t = 0; t < kIncThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const int k = (t + i) % 2;
+        auto dtxn = engine_->BeginTxn();
+        FlowGraph g;
+        g.AddPhase().AddAction(table_a_, keys[k], LocalMode::kX,
+                               [&, k](ActionEnv& env) {
+          std::string val;
+          DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table_a_, rids[k], &val,
+                                            AccessOptions::NoCc()));
+          char buf[9];
+          std::snprintf(buf, sizeof(buf), "%08lu", std::stoul(val) + 1);
+          return env.db->Update(env.txn, table_a_, rids[k],
+                                std::string_view(buf, 8),
+                                AccessOptions::NoCc());
+        });
+        if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(failures.load(), 0) << "no txn may deadlock or time out";
+  uint64_t sum = 0;
+  for (const Rid& rid : rids) {
+    std::string val;
+    ASSERT_TRUE(db_.catalog()->Heap(table_a_)->Get(rid, &val).ok());
+    sum += std::stoull(val);
+  }
+  EXPECT_EQ(sum, uint64_t(kIncThreads * kIters));
+}
+
 TEST_F(DoraEngineTest, WholeDatasetActionDrainsExecutor) {
   std::atomic<int> whole_ran{0};
   auto dtxn = engine_->BeginTxn();
@@ -394,7 +460,8 @@ TEST_F(DoraEngineTest, RebalanceMovesBoundary) {
   auto rule = std::make_shared<RoutingRule>();
   rule->boundaries = {95};
   rule->executor_of_dataset = {0, 1};
-  ASSERT_TRUE(engine_->Rebalance(table_a_, rule).ok());
+  rule->version = 1;
+  ASSERT_TRUE(engine_->MigrateRoutingRule(table_a_, rule).ok());
   EXPECT_EQ(engine_->RouteIndex(table_a_, 80), 0u);
   EXPECT_EQ(engine_->RouteIndex(table_a_, 96), 1u);
 
@@ -427,7 +494,8 @@ TEST_F(DoraEngineTest, RebalanceUnderLoad) {
     auto rule = std::make_shared<RoutingRule>();
     rule->boundaries = {uint64_t(20 + 10 * i)};
     rule->executor_of_dataset = {0, 1};
-    ASSERT_TRUE(engine_->Rebalance(table_a_, rule).ok());
+    rule->version = uint64_t(i) + 1;
+    ASSERT_TRUE(engine_->MigrateRoutingRule(table_a_, rule).ok());
   }
   stop = true;
   load.join();
@@ -475,187 +543,6 @@ TEST_F(DoraEngineTest, SerialPlanAvoidsWastedWorkOnAbort) {
   EXPECT_FALSE(second_ran.load());
 }
 
-// ---------------------------------------------------------- epoch batching
-
-// Database + engine with epoch batching armed at `min_batch`. `pipelined`
-// turns on pipelined commit over the partitioned log backend, so the
-// epoch-close path (bulk commit append + batched acks) is exercised end to
-// end; without it, epochs only reorder execution.
-class EpochBatchTest : public ::testing::Test {
- protected:
-  void Build(uint32_t min_batch, bool pipelined) {
-    if (engine_) engine_->Stop();
-    engine_.reset();
-    db_.reset();
-    Database::Options dbo = SmallDb();
-    if (pipelined) {
-      dbo.log_backend = LogBackendKind::kPartitioned;
-      dbo.log_partitions = 2;
-    }
-    db_ = std::make_unique<Database>(dbo);
-    ASSERT_TRUE(db_->catalog()->CreateTable("a", &table_a_).ok());
-    DoraEngine::Options eo;
-    eo.epoch_batch_min = min_batch;
-    eo.pipelined_commit = pipelined;
-    engine_ = std::make_unique<DoraEngine>(db_.get(), eo);
-    engine_->RegisterTable(table_a_, 100, 2);
-    engine_->Start();
-  }
-  void TearDown() override {
-    if (engine_) engine_->Stop();
-  }
-
-  // One counter record per routing key in `keys`, initialized to zero.
-  void SeedCounters(const std::vector<uint64_t>& keys) {
-    rids_.clear();
-    for (uint64_t key : keys) {
-      auto dtxn = engine_->BeginTxn();
-      Rid rid;
-      FlowGraph g;
-      g.AddPhase().AddAction(table_a_, key, LocalMode::kX,
-                             [&](ActionEnv& env) {
-        return env.db->Insert(env.txn, table_a_, "00000000", &rid,
-                              AccessOptions::RidOnly());
-      });
-      ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
-      rids_.push_back(rid);
-    }
-    keys_ = keys;
-  }
-
-  // TPC-B-shaped mix: `threads` clients each run `iters` single-action
-  // increments against rng-chosen counters. Returns the client-observed
-  // failure count; the per-counter totals are checked by SumCounters().
-  int RunIncrementMix(int threads, int iters) {
-    std::atomic<int> failures{0};
-    std::vector<std::thread> clients;
-    for (int t = 0; t < threads; ++t) {
-      clients.emplace_back([&, t] {
-        Rng rng(uint64_t(t) + 1);
-        for (int i = 0; i < iters; ++i) {
-          const size_t pick =
-              rng.UniformInt(size_t{0}, keys_.size() - 1);
-          auto dtxn = engine_->BeginTxn();
-          FlowGraph g;
-          g.AddPhase().AddAction(table_a_, keys_[pick], LocalMode::kX,
-                                 [&, pick](ActionEnv& env) {
-            std::string val;
-            DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table_a_, rids_[pick],
-                                              &val, AccessOptions::NoCc()));
-            const uint64_t n = std::stoull(val) + 1;
-            char buf[9];
-            std::snprintf(buf, sizeof(buf), "%08lu", n);
-            return env.db->Update(env.txn, table_a_, rids_[pick],
-                                  std::string_view(buf, 8),
-                                  AccessOptions::NoCc());
-          });
-          if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
-        }
-      });
-    }
-    for (auto& c : clients) c.join();
-    return failures.load();
-  }
-
-  uint64_t SumCounters() {
-    uint64_t sum = 0;
-    for (const Rid& rid : rids_) {
-      std::string val;
-      EXPECT_TRUE(db_->catalog()->Heap(table_a_)->Get(rid, &val).ok());
-      sum += std::stoull(val);
-    }
-    return sum;
-  }
-
-  std::unique_ptr<Database> db_;
-  TableId table_a_ = 0;
-  std::unique_ptr<DoraEngine> engine_;
-  std::vector<uint64_t> keys_;
-  std::vector<Rid> rids_;
-};
-
-TEST_F(EpochBatchTest, BatchedConflictsSerialize) {
-  // Threshold 1 forces every drain onto the epoch path. Hammering a single
-  // counter from many clients must still serialize through the local lock
-  // table: admission order (and therefore parking) is untouched by the
-  // key-sorted execution reorder.
-  Build(/*min_batch=*/1, /*pipelined=*/false);
-  SeedCounters({7});
-  EXPECT_EQ(RunIncrementMix(/*threads=*/4, /*iters=*/50), 0);
-  EXPECT_EQ(SumCounters(), 200u) << "lost update under epoch batching";
-  const auto stats = engine_->CollectInboxStats();
-  EXPECT_GT(stats.epoch_actions, 0u)
-      << "threshold 1 must route ready actions through epoch groups";
-  EXPECT_GE(stats.epoch_actions, stats.epoch_groups);
-}
-
-TEST_F(EpochBatchTest, TicketedGraphsNeverDeadlockUnderBatching) {
-  // §4.2.3 under batching: multi-action graphs take the ticket-ordered
-  // admission path while concurrent single-action traffic runs in epoch
-  // groups on the same executors. Neither path may starve or deadlock the
-  // other, and ticket order must hold across epoch boundaries.
-  Build(/*min_batch=*/1, /*pipelined=*/false);
-  SeedCounters({3, 77});
-  constexpr int kThreads = 4, kIters = 40;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        auto dtxn = engine_->BeginTxn();
-        FlowGraph g;
-        g.AddPhase()
-            .AddAction(table_a_, 3, LocalMode::kX,
-                       [](ActionEnv&) { return Status::OK(); })
-            .AddAction(table_a_, 77, LocalMode::kX,
-                       [](ActionEnv&) { return Status::OK(); });
-        if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
-      }
-    });
-  }
-  const int mix_failures = RunIncrementMix(/*threads=*/2, /*iters=*/40);
-  for (auto& c : clients) c.join();
-  EXPECT_EQ(failures.load(), 0) << "ticketed txn deadlocked or timed out";
-  EXPECT_EQ(mix_failures, 0);
-  EXPECT_EQ(SumCounters(), 80u);
-}
-
-TEST_F(EpochBatchTest, EpochAcksMatchPerTxnAcks) {
-  // Same pipelined-commit TPC-B-style mix over the partitioned log, acked
-  // per-transaction (batching off) vs per-epoch (threshold 1). The durable
-  // invariant — every committed increment visible, none duplicated — must
-  // be identical.
-  constexpr int kThreads = 4, kIters = 40;
-  const std::vector<uint64_t> keys = {5, 25, 45, 65, 85};
-  uint64_t sums[2];
-  int i = 0;
-  for (const uint32_t min_batch : {0u, 1u}) {
-    Build(min_batch, /*pipelined=*/true);
-    SeedCounters(keys);
-    EXPECT_EQ(RunIncrementMix(kThreads, kIters), 0);
-    sums[i++] = SumCounters();
-    if (min_batch != 0) {
-      EXPECT_GT(engine_->CollectInboxStats().epoch_actions, 0u);
-    }
-  }
-  EXPECT_EQ(sums[0], uint64_t(kThreads * kIters));
-  EXPECT_EQ(sums[1], sums[0])
-      << "epoch-granular acks changed the committed state";
-}
-
-TEST_F(EpochBatchTest, HighThresholdKeepsPerActionPathAtLowLoad) {
-  // A sequential client never piles up a drain of 64 ready actions, so an
-  // armed-but-high threshold must leave the per-action path (and its
-  // latency profile) untouched: zero epoch groups, all commits fine.
-  Build(/*min_batch=*/64, /*pipelined=*/false);
-  SeedCounters({7});
-  EXPECT_EQ(RunIncrementMix(/*threads=*/1, /*iters=*/50), 0);
-  EXPECT_EQ(SumCounters(), 50u);
-  const auto stats = engine_->CollectInboxStats();
-  EXPECT_EQ(stats.epoch_groups, 0u)
-      << "low load must never trip the batch threshold";
-}
-
 // ------------------------------------------------------------- PlanAdvisor
 
 TEST(PlanAdvisorTest, RecommendsSerialAboveThreshold) {
@@ -676,38 +563,6 @@ TEST(PlanAdvisorTest, StaysParallelBelowThreshold) {
   PlanAdvisor advisor(o);
   for (int i = 0; i < 100; ++i) advisor.RecordOutcome(1, i % 20 == 0);
   EXPECT_FALSE(advisor.RecommendSerial(1)) << "5% abort rate";
-}
-
-// -------------------------------------------------------- ResourceManager
-
-TEST_F(DoraEngineTest, ResourceManagerRebalancesSkewedLoad) {
-  ResourceManager::Options o;
-  o.auto_rebalance = true;
-  o.imbalance_threshold = 1.5;
-  ResourceManager rm(engine_.get(), o);
-  // All load on executor 1's range.
-  for (int i = 0; i < 400; ++i) {
-    auto dtxn = engine_->BeginTxn();
-    FlowGraph g;
-    g.AddPhase().AddAction(table_a_, 90, LocalMode::kS,
-                           [](ActionEnv&) { return Status::OK(); });
-    ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
-  }
-  rm.SampleOnce();  // baseline sample
-  for (int i = 0; i < 400; ++i) {
-    auto dtxn = engine_->BeginTxn();
-    FlowGraph g;
-    g.AddPhase().AddAction(table_a_, 90, LocalMode::kS,
-                           [](ActionEnv&) { return Status::OK(); });
-    ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
-  }
-  rm.SampleOnce();  // sees the skew, triggers a rebalance
-  EXPECT_GE(rm.rebalances(), 1u);
-  // The hot value should now map to a wider range owned by executor 1 —
-  // i.e. the boundary moved left of the default 50.
-  auto rule = engine_->routing_of(table_a_)->Current();
-  ASSERT_EQ(rule->boundaries.size(), 1u);
-  EXPECT_LT(rule->boundaries[0], 50u);
 }
 
 }  // namespace

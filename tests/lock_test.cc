@@ -262,6 +262,47 @@ TEST_F(LockManagerTest, DeadlockDetectedAndVictimAborts) {
   if (t2->held_count() != 0) Finish(t2.get());
 }
 
+TEST_F(LockManagerTest, DetectorRacesTxnBeginAndFinish) {
+  // The detector reads other transactions' waits-for edges while their
+  // owners finish and free them (Database::Commit -> TxnManager::Finish ->
+  // delete). Churners register a transaction waiting on its neighbours'
+  // ids, then unregister and free it; probers walk the newest ids the
+  // whole time. Under ASan, a walk that reads a freed transaction fails.
+  constexpr TxnId kBase = 1000;
+  constexpr int kChurners = 2, kProbers = 2, kIters = 50000;
+  std::atomic<TxnId> next{kBase};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> probers;
+  for (int p = 0; p < kProbers; ++p) {
+    probers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const TxnId hi = next.load(std::memory_order_relaxed);
+        for (TxnId id = hi - 4; id <= hi; ++id) {
+          (void)lm_.detector().WouldDeadlock(id);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> churners;
+  for (int c = 0; c < kChurners; ++c) {
+    churners.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        const TxnId id = next.fetch_add(1, std::memory_order_relaxed);
+        auto t = MakeTxn(id);
+        t->SetWaitsFor({id - 1, id + 1});
+        lm_.UnregisterTxn(id);
+      }  // `t` is freed right after it unregisters
+    });
+  }
+  for (auto& t : churners) t.join();
+  stop = true;
+  for (auto& t : probers) t.join();
+  // Every churned transaction is gone: no walk may find it any more.
+  for (TxnId id = kBase; id < next.load(); id += 997) {
+    EXPECT_FALSE(lm_.detector().WouldDeadlock(id));
+  }
+}
+
 TEST_F(LockManagerTest, ConversionDeadlockDetected) {
   // Both hold S, both want X: a conversion deadlock.
   auto t1 = MakeTxn(1), t2 = MakeTxn(2);

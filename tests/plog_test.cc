@@ -1000,5 +1000,68 @@ TEST(PlogDoraTest, PipelinedCommitSerializesConflictingWriters) {
       << "ELR must not admit lost updates";
 }
 
+TEST(PlogDoraTest, PipelinedCommitKeepsIncrementsAcrossExecutors) {
+  // TPC-B-shaped increments spread over both executors' ranges (so both
+  // log partitions and their ack queues carry commits): every acked
+  // increment must be visible exactly once.
+  Database db(PlogDb(/*parts=*/2));
+  TableId table;
+  ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
+  const std::vector<uint64_t> keys = {5, 25, 45, 65, 85};
+  std::vector<Rid> rids(keys.size());
+  {
+    auto setup = db.Begin();
+    for (Rid& rid : rids) {
+      ASSERT_TRUE(db.Insert(setup.get(), table, "0", &rid,
+                            AccessOptions::Baseline()).ok());
+    }
+    ASSERT_TRUE(db.Commit(setup.get()).ok());
+  }
+
+  dora::DoraEngine::Options opts;
+  opts.pipelined_commit = true;
+  dora::DoraEngine engine(&db, opts);
+  engine.RegisterTable(table, 100, 2);
+  engine.Start();
+
+  constexpr int kClients = 4, kPerClient = 40;
+  std::vector<std::thread> clients;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng(uint64_t(c) + 1);
+      for (int i = 0; i < kPerClient; ++i) {
+        const size_t pick = rng.UniformInt(size_t{0}, keys.size() - 1);
+        auto dtxn = engine.BeginTxn();
+        dora::FlowGraph g;
+        g.AddPhase().AddAction(
+            table, keys[pick], dora::LocalMode::kX,
+            [&, pick](dora::ActionEnv& env) {
+              std::string cur;
+              DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table, rids[pick],
+                                                &cur, AccessOptions::NoCc()));
+              return env.db->Update(env.txn, table, rids[pick],
+                                    std::to_string(std::stoi(cur) + 1),
+                                    AccessOptions::NoCc());
+            });
+        if (!engine.Run(dtxn, std::move(g)).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  engine.Stop();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_GT(engine.txns_pipelined(), 0u);
+  int sum = 0;
+  for (const Rid& rid : rids) {
+    std::string out;
+    ASSERT_TRUE(db.catalog()->Heap(table)->Get(rid, &out).ok());
+    sum += std::stoi(out);
+  }
+  EXPECT_EQ(sum, kClients * kPerClient) << "an acked increment was lost";
+}
+
 }  // namespace
 }  // namespace doradb
