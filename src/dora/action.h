@@ -293,17 +293,28 @@ class DoraTxn {
   // Dispatcher blocks here (closed loop) until the terminal RVP finishes.
   // Direct futex wait on the done flag — no mutex, no condvar, and none of
   // the pre-sleep spinning of std::atomic::wait, which on saturated hosts
-  // only delays the executor that would set the flag.
+  // only delays the executor that would set the flag. The waiter announces
+  // its sleep (pending -> asleep) so Complete wakes only a sleeper: a
+  // transaction that finished before Wait — always the case when the
+  // client ran it borrowed — costs no syscall on either side.
   Status Wait() {
-    while (done_.load(std::memory_order_acquire) == 0) {
-      detail::FutexWait(&done_, 0, /*timeout_us=*/-1);
+    uint32_t s = done_.load(std::memory_order_acquire);
+    while (s != kDone) {
+      if (s == kPending &&
+          !done_.compare_exchange_weak(s, kAsleep, std::memory_order_acquire,
+                                       std::memory_order_acquire)) {
+        continue;  // `s` reloaded: completed (or spurious failure)
+      }
+      detail::FutexWait(&done_, kAsleep, /*timeout_us=*/-1);
+      s = done_.load(std::memory_order_acquire);
     }
     return result_;
   }
   void Complete(Status result) {
     result_ = std::move(result);
-    done_.store(1, std::memory_order_release);
-    detail::FutexWake(&done_);
+    if (done_.exchange(kDone, std::memory_order_acq_rel) == kAsleep) {
+      detail::FutexWake(&done_);
+    }
   }
 
   // --- reference counting (arena recycling) ---
@@ -317,7 +328,7 @@ class DoraTxn {
     db_ = db;
     txn_ = std::move(txn);
     aborted_.store(false, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
+    done_.store(kPending, std::memory_order_relaxed);
     result_ = Status::OK();
     abort_reason_ = Status::OK();
     refs_.store(1, std::memory_order_relaxed);
@@ -348,8 +359,14 @@ class DoraTxn {
   std::atomic<uint32_t> refs_{1};
   std::atomic<bool> aborted_{false};
 
+  // done_ states: the client has not waited yet, is asleep in Wait, or
+  // the transaction completed.
+  static constexpr uint32_t kPending = 0;
+  static constexpr uint32_t kAsleep = 1;
+  static constexpr uint32_t kDone = 2;
+
   mutable std::mutex mu_;  // guards abort_reason_ only
-  std::atomic<uint32_t> done_{0};
+  std::atomic<uint32_t> done_{kPending};
   Status result_;
   Status abort_reason_;
 };

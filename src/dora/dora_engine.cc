@@ -437,6 +437,10 @@ void DoraEngine::DispatchPhase(DoraTxn* dtxn, size_t phase) {
   // txn's first phase records), so drain - enqueue is a true queue wait
   // even when the executor drains faster than this loop finishes.
   if (dtxn->prof.armed) dtxn->prof.Stamp(obs::TraceStage::kEnqueue);
+  // Borrowed execution: a client dispatching to one parked executor runs
+  // the phase itself in the executor's place — no push, no wake, no wait
+  // on the futex. Executor threads and busy executors take the inbox.
+  if (!multi && first != nullptr && first->TryRunInline(actions)) return;
   for (Action* a : actions) {
     a->ticket = ticket;
     a->owner->PushToInbox(a);
@@ -463,6 +467,14 @@ void DoraEngine::FanOutCompletions(DoraTxn* dtxn) {
   }
   std::sort(owners.begin(), owners.end());
   owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  // Owners that can release without being woken (this thread borrows
+  // them for dtxn, or they sleep with nobody waiting) get no message, no
+  // reference and no wake.
+  owners.erase(std::remove_if(owners.begin(), owners.end(),
+                              [dtxn](Executor* e) {
+                                return e->ReleaseWithoutMessage(dtxn);
+                              }),
+               owners.end());
   if (owners.empty()) return;
   // Messages are embedded in the context; size the vector BEFORE the first
   // push (no reallocation while nodes are enqueued) and take one reference

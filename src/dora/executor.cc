@@ -2,13 +2,30 @@
 
 #include <sched.h>
 
+#include <cassert>
+
 #include "dora/dora_engine.h"
 #include "dora/ticket.h"
 #include "obs/trace.h"
+#include "util/spinlock.h"
 #include "util/thread_pool.h"
 
 namespace doradb {
 namespace dora {
+
+namespace {
+
+// Per-thread borrowing state. A thread that holds a run token already —
+// an executor thread its own, a borrower the one it borrowed — never
+// borrows: a phase it dispatches goes through the inboxes.
+struct BorrowState {
+  Executor* exec = nullptr;  // executor whose run token this thread holds
+  DoraTxn* txn = nullptr;    // borrowers: the transaction whose actions run
+  bool release = false;      // txn finished: release its locks at the end
+};
+thread_local BorrowState tls_borrow;
+
+}  // namespace
 
 Executor::Executor(DoraEngine* engine, Database* db, TableId table,
                    uint32_t index_in_table, uint32_t global_index)
@@ -25,7 +42,9 @@ Executor::Executor(DoraEngine* engine, Database* db, TableId table,
           "dora.exec." + std::to_string(global_index) + ".queue_wait_ns",
           "ns")),
       ticket_deferred_(obs::MetricsRegistry::Default().GetCounter(
-          "dora.tickets.deferred", "actions")) {}
+          "dora.tickets.deferred", "actions")),
+      borrowed_(obs::MetricsRegistry::Default().GetCounter(
+          "dora.inbox.borrowed", "actions")) {}
 
 void Executor::PushToInbox(InboxEntry* entry) {
   if (obs::MetricsEnabled()) {
@@ -53,6 +72,7 @@ void Executor::Loop() {
   // returns does (stage stays "execute", beats stop).
   obs::ScopedHeartbeat hb("dora.exec." + std::to_string(global_index_));
   hb_ = hb.get();
+  tls_borrow.exec = this;
   // First step of the NUMA roadmap item: partition-index affinity. The
   // executor, its log partition, and its core all share global_index_, so
   // an action's locks, WAL appends, and working set stay on one context.
@@ -92,18 +112,119 @@ void Executor::Loop() {
     }
     // Nothing runnable anywhere: park. With parked actions present, wake
     // periodically to expire stale waits (cross-graph local-lock deadlock
-    // resolution); otherwise sleep until a producer pushes.
+    // resolution); otherwise sleep until a producer pushes. The run token
+    // is free while parked, so a client may borrow this executor.
     hb->SetStage("park");
     hb->SetIdle(true);
-    chain = inbox_.Park(locks_.num_parked() != 0 ? 20000 : -1);
+    const int64_t timeout_us = locks_.num_parked() != 0 ? 20000 : -1;
+    run_token_.store(false, std::memory_order_release);
+    chain = inbox_.Park(timeout_us);
+    AcquireRunToken();
     hb->SetIdle(false);
     if (chain != nullptr) ProcessInbox(chain);
   }
 }
 
+void Executor::AcquireRunToken() {
+  Backoff backoff;
+  while (run_token_.load(std::memory_order_relaxed) ||
+         run_token_.exchange(true, std::memory_order_acquire)) {
+    backoff.Spin();
+  }
+}
+
+bool Executor::TryTakeParkedToken() {
+  if (!inbox_.ParkedAndEmpty() ||
+      run_token_.load(std::memory_order_relaxed) ||
+      run_token_.exchange(true, std::memory_order_acquire)) {
+    return false;
+  }
+  // Under the token the check is exact: still parked means nothing was
+  // pushed since the executor finished its last batch and parked.
+  if (inbox_.ParkedAndEmpty()) return true;
+  run_token_.store(false, std::memory_order_release);
+  return false;
+}
+
+bool Executor::TryRunInline(const std::vector<Action*>& actions) {
+  BorrowState& b = tls_borrow;
+  if (b.exec != nullptr || !TryTakeParkedToken()) return false;
+  // A parked executor has admitted every ticketed action it drained, so an
+  // unticketed phase run here cannot overtake one (ticket order holds).
+  assert(deferred_.empty() && ready_.empty() && comps_.empty());
+  DoraTxn* dtxn = actions.front()->dtxn;
+  b.exec = this;
+  b.txn = dtxn;
+  b.release = false;
+  // Run as the executor would: its log partition (the commit record and
+  // the pipelined ack queue follow the binding), its heartbeat, its load
+  // and busy counters.
+  LogBackend* log = db_->log_manager();
+  const uint32_t caller_partition = log->CurrentPartition();
+  log->BindThisThread(global_index_);
+  hb_->SetIdle(false);
+  hb_->Beat();
+  const bool metrics = obs::MetricsEnabled();
+  const uint64_t t0 = metrics ? Cycles::Now() : 0;
+  borrowed_->Add(actions.size());
+  obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kEnqueue);
+  for (Action* a : actions) {
+    assert(a->ticket == 0 && a->owner == this);
+    StampDrain(a);
+    AdmitAction(a);
+  }
+  if (b.release) {
+    // FinishTxn ran here and skipped this executor's completion message.
+    runnable_.clear();
+    locks_.ReleaseAll(dtxn, &runnable_);
+    RunRunnable();
+  }
+  if (metrics) {
+    busy_cycles_.fetch_add(Cycles::Now() - t0, std::memory_order_relaxed);
+  }
+  log->BindThisThread(caller_partition);
+  hb_->SetStage("park");
+  hb_->SetIdle(true);
+  // An action left waiting on a local lock needs the executor's expiry
+  // timer; the executor parked without one, so wake it to re-park.
+  const bool waiters = locks_.num_parked() != 0;
+  b = BorrowState{};
+  run_token_.store(false, std::memory_order_release);
+  if (waiters) inbox_.Kick();
+  return true;
+}
+
+bool Executor::ReleaseWithoutMessage(DoraTxn* dtxn) {
+  BorrowState& b = tls_borrow;
+  if (b.exec == this) {
+    // This executor's own thread, or a borrower: the txn it borrows for
+    // releases when the run ends; any other takes the message.
+    if (b.txn != dtxn) return false;
+    b.release = true;
+    return true;
+  }
+  if (!TryTakeParkedToken()) return false;
+  // With no parked waiters the release grants nothing: no action runs on
+  // this thread and the executor sleeps on.
+  const bool no_waiters = locks_.num_parked() == 0;
+  if (no_waiters) {
+    locks_.ReleaseAll(dtxn, &runnable_);
+    assert(runnable_.empty());
+  }
+  run_token_.store(false, std::memory_order_release);
+  return no_waiters;
+}
+
+void Executor::StampDrain(Action* a) {
+  obs::CommitTracer::Stamp(a->dtxn->txn()->id(), obs::TraceStage::kDrain);
+  if (a->dtxn->prof.armed) {
+    a->dtxn->prof.Stamp(obs::TraceStage::kDrain);
+    a->dtxn->prof.SetExecutor(global_index_);
+  }
+}
+
 void Executor::Classify(MpscNode* chain) {
   const bool metrics = obs::MetricsEnabled();
-  const bool tracing = obs::CommitTracer::Enabled();
   uint64_t n = 0;
   uint64_t oldest_tsc = 0;  // oldest stamped enqueue in this drain
   while (chain != nullptr) {
@@ -117,14 +238,7 @@ void Executor::Classify(MpscNode* chain) {
     switch (entry->kind) {
       case InboxEntry::Kind::kAction: {
         Action* a = static_cast<Action*>(entry);
-        if (tracing) {
-          obs::CommitTracer::Stamp(a->dtxn->txn()->id(),
-                                   obs::TraceStage::kDrain);
-        }
-        if (a->dtxn->prof.armed) {
-          a->dtxn->prof.Stamp(obs::TraceStage::kDrain);
-          a->dtxn->prof.SetExecutor(global_index_);
-        }
+        StampDrain(a);
         if (a->ticket == 0) {
           ready_.push_back(a);
         } else {

@@ -13,6 +13,18 @@
 // ticketed actions are deferred until the published horizon covers them
 // and then admitted in ticket order, preserving the §4.2.3 atomic-enqueue
 // guarantee without latching any queue.
+//
+// Run token: the lock table and the queues below are touched by one
+// thread at a time, the holder of the run token. The executor thread
+// holds it except while parked. When a client dispatches a phase whose
+// actions all route here while the inbox is parked and empty, the client
+// takes the token and runs the actions inline (TryRunInline) through the
+// same admit → execute → RVP → finish path, and the executor sleeps on.
+// Completion fan-out likewise releases a parked executor's locks under
+// its token when nobody waits on them (ReleaseWithoutMessage). The
+// token's acquire/release pair orders each hand-over, so local locks
+// stay latch-free; at saturation executors never park and nothing is
+// borrowed. See README.md, "Borrowed execution".
 
 #ifndef DORADB_DORA_EXECUTOR_H_
 #define DORADB_DORA_EXECUTOR_H_
@@ -57,6 +69,21 @@ class Executor {
   // queue-wait histogram or the depth gauge.
   void PushToInbox(InboxEntry* entry);
 
+  // Borrowed execution: run `actions` (one unticketed phase, all routed
+  // to this executor) on the calling client thread, in the parked
+  // executor's place. Returns false, having done nothing, unless the
+  // caller is a client thread that is not already borrowing and this
+  // executor is parked with an empty inbox.
+  bool TryRunInline(const std::vector<Action*>& actions);
+
+  // Completion fan-out hook: release `dtxn`'s local locks here without a
+  // completion message, if that needs no executor wake. True when the
+  // calling thread is running dtxn's actions borrowed on this executor
+  // (released when the run ends), or when the executor is parked with an
+  // empty inbox and no parked waiters (released now, under its token).
+  // False: the caller must send the message.
+  bool ReleaseWithoutMessage(DoraTxn* dtxn);
+
   // --- stats ---
   uint64_t actions_executed() const {
     return actions_executed_.load(std::memory_order_relaxed);
@@ -89,9 +116,10 @@ class Executor {
                       static_cast<int64_t>(inbox_items());
     return d > 0 ? d : 0;
   }
-  // Cycles spent inside ProcessInbox batches that did work (metrics on).
-  // busy_cycles delta / wall cycles delta = the executor's busy fraction
-  // over a window; the load heatmap sweeps this.
+  // Cycles spent inside ProcessInbox batches that did work, and in
+  // borrowed runs (metrics on). busy_cycles delta / wall cycles delta =
+  // the executor's busy fraction over a window; the load heatmap sweeps
+  // this.
   uint64_t busy_cycles() const {
     return busy_cycles_.load(std::memory_order_relaxed);
   }
@@ -101,6 +129,13 @@ class Executor {
 
  private:
   void Loop();
+  // Executor thread, after Park: wait out a borrower's run.
+  void AcquireRunToken();
+  // Any other thread: take the token iff the executor is parked with an
+  // empty inbox (then nothing is drained-but-unprocessed).
+  bool TryTakeParkedToken();
+  // Stamp the drain stage of an action taken off the inbox (or borrowed).
+  void StampDrain(Action* a);
   // Split a drained chain into completions / ready / deferred.
   void Classify(MpscNode* chain);
   // Completions first (paper steps 11-12), then unticketed actions FIFO,
@@ -128,14 +163,19 @@ class Executor {
   MpscQueue inbox_;
   StopMsg stop_msg_;
 
-  // Consumer-thread state (touched only by Loop()).
+  // Held by the thread allowed to touch the state below: the executor
+  // thread, except between releasing it before Park and re-acquiring it
+  // after; a borrowing client in that window.
+  std::atomic<bool> run_token_{true};
+
+  // Consumer state (touched only by the run-token holder).
   bool stop_seen_ = false;
   std::vector<DoraTxn*> comps_;
   std::vector<Action*> ready_;
   std::vector<Action*> deferred_;  // ticketed, sorted by ticket (stable)
   std::vector<Action*> runnable_;
 
-  LocalLockTable locks_;  // executor-private: no latching
+  LocalLockTable locks_;  // run-token holder only: no latching
 
   std::thread thread_;
   std::atomic<uint64_t> actions_executed_{0};
@@ -145,8 +185,9 @@ class Executor {
   std::atomic<uint64_t> pushed_{0};
   std::atomic<uint64_t> busy_cycles_{0};
 
-  // Watchdog heartbeat, registered for the lifetime of Loop(). Only this
-  // thread writes through it; the watchdog reads via table snapshots.
+  // Watchdog heartbeat, registered for the lifetime of Loop(). Only the
+  // run-token holder writes through it (a borrower drives it for the
+  // run); the watchdog reads via table snapshots.
   obs::Heartbeats::Handle* hb_ = nullptr;
 
   // Registry-owned instrumentation, shared across executors (resolved once
@@ -156,6 +197,7 @@ class Executor {
   Histogram* drain_wait_hist_;      // dora.inbox.drain_wait_ns
   Histogram* queue_wait_hist_;      // dora.exec.<g>.queue_wait_ns
   obs::Counter* ticket_deferred_;   // dora.tickets.deferred
+  obs::Counter* borrowed_;          // dora.inbox.borrowed
 };
 
 }  // namespace dora

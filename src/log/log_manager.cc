@@ -32,6 +32,7 @@ LogManager::LogManager(Options options) : options_(options) {
     // work; logged commits will fail Unavailable from the first wait.
     if (stable_->poisoned()) poisoned_.store(true, std::memory_order_release);
   }
+  NoteStableSize();
   flusher_ = std::thread([this] { FlusherLoop(); });
 }
 
@@ -96,7 +97,7 @@ Lsn LogManager::DoFlush() {
     if (poisoned_.load(std::memory_order_relaxed)) {
       return flushed_lsn_.load(std::memory_order_relaxed);
     }
-    std::vector<uint8_t> pending;
+    std::vector<uint8_t>& pending = flush_buf_;  // empty, capacity kept
     {
       TatasGuard b(buffer_latch_, TimeClass::kLogContention);
       pending.swap(buffer_);
@@ -111,6 +112,8 @@ Lsn LogManager::DoFlush() {
         flushes_.fetch_add(1, std::memory_order_relaxed);
         flushed_bytes = pending.size();
       }
+      pending.clear();
+      NoteStableSize();
     }
     if (!failed && upto > flushed_lsn_.load(std::memory_order_relaxed)) {
       // Durability before advertisement: commits gate on flushed_lsn.
@@ -179,6 +182,7 @@ void LogManager::ReclaimStableBelow(Lsn point) {
   std::lock_guard<std::mutex> g(stable_mu_);
   reclaimed_.fetch_add(stable_->ReclaimBelow(point),
                        std::memory_order_relaxed);
+  NoteStableSize();
 }
 
 void LogManager::FlipStableByte(size_t index) {
@@ -187,8 +191,7 @@ void LogManager::FlipStableByte(size_t index) {
 }
 
 size_t LogManager::stable_size() const {
-  std::lock_guard<std::mutex> g(stable_mu_);
-  return stable_->size();
+  return stable_bytes_.load(std::memory_order_relaxed);
 }
 
 size_t LogManager::segment_files() const {

@@ -114,6 +114,10 @@ class LogManager final : public LogBackend {
   void FlusherLoop();
   // Moves the volatile buffer into the stable region. Returns new flushed lsn.
   Lsn DoFlush();
+  // Republish stable_bytes_ after a change to stable_ (stable_mu_ held).
+  void NoteStableSize() {
+    stable_bytes_.store(stable_->size(), std::memory_order_relaxed);
+  }
 
   const Options options_;
 
@@ -126,6 +130,13 @@ class LogManager final : public LogBackend {
   // The durability medium: in-memory bytes, or segment files when
   // Options::data_dir is set (see log/log_storage.h).
   std::unique_ptr<LogStorage> stable_;
+  // The batch DoFlush is writing (under stable_mu_). It trades places with
+  // buffer_ on every flush, so both keep their capacity and appends after
+  // a flush do not regrow the buffer from empty.
+  std::vector<uint8_t> flush_buf_;
+  // stable_->size(), written under stable_mu_: stable_size() reads it
+  // without the mutex, so a metrics snapshot never takes a log lock.
+  std::atomic<size_t> stable_bytes_{0};
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> poisoned_{false};  // mirrors stable_->poisoned()

@@ -37,7 +37,7 @@ void LogPartition::Flush(bool force_watermark) {
   {
     std::lock_guard<std::mutex> g(stable_mu_);
     if (killed_ || poisoned_.load(std::memory_order_relaxed)) return;
-    std::vector<uint8_t> pending;
+    std::vector<uint8_t>& pending = flush_buf_;  // empty, capacity kept
     Lsn horizon, batch_gsn;
     {
       TatasGuard b(buffer_latch_, TimeClass::kLogContention);
@@ -49,15 +49,18 @@ void LogPartition::Flush(bool force_watermark) {
     }
     if (!pending.empty()) {
       ScopedTimeClass timer(TimeClass::kLogWork);
-      if (!stable_->AppendBatch(pending.data(), pending.size(), batch_gsn)
-               .ok()) {
+      const bool ok =
+          stable_->AppendBatch(pending.data(), pending.size(), batch_gsn).ok();
+      flushed_bytes = pending.size();
+      pending.clear();
+      NoteStableSize();
+      if (!ok) {
         // Persistent write failure (the storage latched itself poisoned):
         // the watermark freezes here and waiters fail Unavailable.
         poisoned_.store(true, std::memory_order_release);
         return;
       }
       flushes_.fetch_add(1, std::memory_order_relaxed);
-      flushed_bytes = pending.size();
     }
     if (horizon > watermark_.load(std::memory_order_relaxed)) {
       // Idle watermark-only advance on a durable medium: the header write +
@@ -65,7 +68,7 @@ void LogPartition::Flush(bool force_watermark) {
       // persisted claim for cold restart. Periodic flushes may defer it for
       // a bounded run of ticks; the watermark then stays put, so any waiter
       // gating on it will come back with force_watermark and pay the sync.
-      if (pending.empty() && !force_watermark && stable_->durable() &&
+      if (flushed_bytes == 0 && !force_watermark && stable_->durable() &&
           idle_skips_ < idle_skip_limit_) {
         ++idle_skips_;
         idle_syncs_skipped_.fetch_add(1, std::memory_order_relaxed);
@@ -146,6 +149,7 @@ void LogPartition::Kill() {
 void LogPartition::TruncateStableTo(Lsn horizon) {
   std::lock_guard<std::mutex> g(stable_mu_);
   stable_->TruncateTo(horizon);
+  NoteStableSize();
   if (horizon > watermark_.load(std::memory_order_relaxed)) {
     watermark_.store(horizon, std::memory_order_release);
   }
@@ -160,6 +164,7 @@ void LogPartition::ReclaimStableBelow(Lsn point) {
   std::lock_guard<std::mutex> g(stable_mu_);
   reclaimed_.fetch_add(stable_->ReclaimBelow(point),
                        std::memory_order_relaxed);
+  NoteStableSize();
 }
 
 void LogPartition::FlipStableByte(size_t index) {
@@ -175,16 +180,17 @@ void LogPartition::PartialFlushTorn(size_t bytes) {
   // so it must never be unlinked on the strength of a known max GSN.
   (void)stable_->AppendBatch(buffer_.data(), bytes, kInvalidLsn);
   buffer_.clear();
+  NoteStableSize();
 }
 
 void LogPartition::TearStableTail(size_t bytes) {
   std::lock_guard<std::mutex> g(stable_mu_);
   stable_->TearTail(bytes);
+  NoteStableSize();
 }
 
 size_t LogPartition::stable_size() const {
-  std::lock_guard<std::mutex> g(stable_mu_);
-  return stable_->size();
+  return stable_bytes_.load(std::memory_order_relaxed);
 }
 
 size_t LogPartition::segment_count() const {

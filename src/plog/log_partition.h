@@ -46,6 +46,7 @@ class LogPartition {
     if (stable_->poisoned()) {
       poisoned_.store(true, std::memory_order_release);
     }
+    NoteStableSize();
   }
   explicit LogPartition(GsnClock* clock) : LogPartition(clock, nullptr) {}
   LogPartition(const LogPartition&) = delete;
@@ -156,6 +157,11 @@ class LogPartition {
   Lsn recovered_last_gsn() const { return stable_->recovered_last_lsn(); }
 
  private:
+  // Republish stable_bytes_ after a change to stable_ (stable_mu_ held).
+  void NoteStableSize() {
+    stable_bytes_.store(stable_->size(), std::memory_order_relaxed);
+  }
+
   GsnClock* const clock_;
 
   TatasLock buffer_latch_;       // guards buffer_, last stamp, GSN stamping
@@ -164,6 +170,12 @@ class LogPartition {
 
   mutable std::mutex stable_mu_;  // serializes flushes + stable reads
   const std::unique_ptr<LogStorage> stable_;
+  // The batch Flush is writing (under stable_mu_). It trades places with
+  // buffer_ on every flush, so both keep their capacity.
+  std::vector<uint8_t> flush_buf_;
+  // stable_->size(), written under stable_mu_: stable_size() reads it
+  // without the mutex, so a metrics snapshot never takes a log lock.
+  std::atomic<size_t> stable_bytes_{0};
   std::atomic<Lsn> watermark_{0};  // written only under stable_mu_
   bool killed_ = false;            // under stable_mu_
   std::atomic<bool> poisoned_{false};  // set under stable_mu_, one-way

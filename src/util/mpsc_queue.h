@@ -17,6 +17,15 @@
 // possible; every payload hand-off rides the release/acquire pair on the
 // head word, never the futex.
 //
+// Parked-and-empty check: a head word equal to the sentinel says more than
+// "nothing is queued" — the consumer finished everything it drained
+// before it parked, and it cannot run again until a push or a Kick swaps
+// the sentinel out. ParkedAndEmpty() reads exactly that state; executors
+// use it to let a client run an action in the sleeping consumer's place
+// (dora/executor.h, the run token). Kick() is the message-less waker: it
+// retracts the sentinel, so Park returns nullptr and the consumer
+// re-parks with whatever timeout it now wants.
+//
 // Ordering: draining reverses the push (Treiber) order, so the returned
 // chain is oldest-first — the full enqueue linearization order, which in
 // particular preserves per-producer FIFO.
@@ -143,7 +152,7 @@ class MpscQueue {
 
   // Consumer only: sleep until a producer enqueues, then drain. A negative
   // timeout sleeps indefinitely; otherwise returns nullptr after
-  // `timeout_us` with nothing arrived.
+  // `timeout_us` with nothing arrived. Also returns nullptr when kicked.
   MpscNode* Park(int64_t timeout_us) {
     uintptr_t expected = kEmpty;
     if (!head_.compare_exchange_strong(expected, kParked,
@@ -180,7 +189,32 @@ class MpscQueue {
     return TryDrain();
   }
 
-  // Producer-side syscall count (pushes that found the consumer parked).
+  // Any thread: true iff the consumer is parked and nothing is queued. The
+  // answer may be stale as soon as it returns; it is only a guarantee for
+  // a caller that also keeps the consumer from running (executors: the run
+  // token, which a consumer re-acquires before touching what Park drained).
+  bool ParkedAndEmpty() const {
+    return head_.load(std::memory_order_acquire) == kParked;
+  }
+
+  // Any thread: wake a parked consumer without enqueuing anything. Swapping
+  // the sentinel out makes this caller the unique waker, exactly like a
+  // push onto a parked queue; Park then returns nullptr. Returns false
+  // (and costs no syscall) unless the consumer was parked.
+  bool Kick() {
+    uintptr_t parked = kParked;
+    if (!head_.compare_exchange_strong(parked, kEmpty,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+      return false;
+    }
+    seq_.fetch_add(1, std::memory_order_release);
+    detail::FutexWake(&seq_);
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  // Syscall count: pushes that found the consumer parked, plus kicks.
   uint64_t wakeups() const {
     return wakeups_.load(std::memory_order_relaxed);
   }

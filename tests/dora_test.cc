@@ -1,8 +1,12 @@
 // Tests for the DORA core: local lock table semantics, routing rules, flow
 // graph execution through executors and RVPs, abort propagation, the
-// deadlock-avoidance enqueue protocol, rebalancing, and the plan advisor.
+// deadlock-avoidance enqueue protocol, rebalancing, borrowed execution
+// (a client running an action in its parked executor's place), and the
+// plan advisor.
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -10,6 +14,7 @@
 
 #include "dora/dora_engine.h"
 #include "dora/plan_advisor.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace doradb {
@@ -541,6 +546,184 @@ TEST_F(DoraEngineTest, SerialPlanAvoidsWastedWorkOnAbort) {
   auto dtxn = engine_->BeginTxn();
   EXPECT_FALSE(engine_->Run(dtxn, std::move(g).Serialized()).ok());
   EXPECT_FALSE(second_ran.load());
+}
+
+// ------------------------------------------------------- borrowed execution
+
+uint64_t BorrowedActions() {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("dora.inbox.borrowed", "actions")
+      ->Value();
+}
+
+void SleepMs(int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+// Polls `done` every millisecond for up to `ms`; returns its last value.
+bool WaitUntil(const std::function<bool()>& done, int ms = 5000) {
+  for (int i = 0; i < ms && !done(); ++i) SleepMs(1);
+  return done();
+}
+
+TEST_F(DoraEngineTest, IdleEngineRunsSingleActionTxnsBorrowed) {
+  // One client, pausing between transactions so the owner is parked at
+  // every dispatch: each single-action transaction runs on the client
+  // thread, wakes no executor, and commits exactly what the queued path
+  // would.
+  Rid rid;
+  {
+    auto setup = engine_->BeginTxn();
+    FlowGraph g;
+    g.AddPhase().AddAction(table_a_, 7, LocalMode::kX, [&](ActionEnv& env) {
+      return env.db->Insert(env.txn, table_a_, "00000000", &rid,
+                            AccessOptions::RidOnly());
+    });
+    ASSERT_TRUE(engine_->Run(setup, std::move(g)).ok());
+  }
+  const uint64_t borrowed0 = BorrowedActions();
+  const auto stats0 = engine_->CollectInboxStats();
+  constexpr int kTxns = 40;
+  int on_client = 0;
+  for (int i = 0; i < kTxns; ++i) {
+    SleepMs(2);
+    std::thread::id ran_on;
+    uint32_t ran_at = 999;
+    auto dtxn = engine_->BeginTxn();
+    FlowGraph g;
+    g.AddPhase().AddAction(table_a_, 7, LocalMode::kX, [&](ActionEnv& env) {
+      ran_on = std::this_thread::get_id();
+      ran_at = env.self->index_in_table();
+      std::string val;
+      DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table_a_, rid, &val,
+                                        AccessOptions::NoCc()));
+      char buf[9];
+      std::snprintf(buf, sizeof(buf), "%08lu", std::stoul(val) + 1);
+      return env.db->Update(env.txn, table_a_, rid, std::string_view(buf, 8),
+                            AccessOptions::NoCc());
+    });
+    ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+    EXPECT_EQ(ran_at, 0u) << "the body runs as the routed owner";
+    if (ran_on == std::this_thread::get_id()) ++on_client;
+  }
+  const auto d = engine_->CollectInboxStats() - stats0;
+  const uint64_t borrowed = BorrowedActions() - borrowed0;
+  EXPECT_EQ(borrowed, static_cast<uint64_t>(on_client));
+  EXPECT_GE(on_client, kTxns / 2) << "an idle owner must be borrowed";
+  EXPECT_LE(d.wakeups, static_cast<uint64_t>(kTxns / 5))
+      << "borrowed runs wake no executor";
+  EXPECT_EQ(d.actions, static_cast<uint64_t>(kTxns))
+      << "borrowed runs count as the owner's executed actions";
+  EXPECT_EQ(engine_->txns_committed(), static_cast<uint64_t>(kTxns + 1));
+  std::string val;
+  ASSERT_TRUE(db_.catalog()->Heap(table_a_)->Get(rid, &val).ok());
+  EXPECT_EQ(std::stoull(val), static_cast<uint64_t>(kTxns));
+}
+
+// Engine with one executor for table "a" and one for "b". The holder
+// transaction takes X on a:7 in phase 0 and then sits in a phase-1 body
+// on b's executor until `release()` returns true, so a's executor parks
+// with the lock held.
+class BorrowConflictTest : public ::testing::Test {
+ protected:
+  void StartEngine(uint64_t local_wait_timeout_us) {
+    ASSERT_TRUE(db_.catalog()->CreateTable("a", &a_).ok());
+    ASSERT_TRUE(db_.catalog()->CreateTable("b", &b_).ok());
+    DoraEngine::Options o;
+    o.local_wait_timeout_us = local_wait_timeout_us;
+    engine_ = std::make_unique<DoraEngine>(&db_, o);
+    engine_->RegisterTable(a_, 100, 1);
+    engine_->RegisterTable(b_, 100, 1);
+    engine_->Start();
+  }
+  ~BorrowConflictTest() override {
+    if (holder_.joinable()) holder_.join();
+    if (engine_ != nullptr) engine_->Stop();
+  }
+
+  void StartHolder(std::function<bool()> release) {
+    holder_ = std::thread([this, release] {
+      auto dtxn = engine_->BeginTxn();
+      FlowGraph g;
+      g.AddPhase().AddAction(a_, 7, LocalMode::kX,
+                             [](ActionEnv&) { return Status::OK(); });
+      g.AddPhase().AddAction(b_, 1, LocalMode::kS, [this, release](ActionEnv&) {
+        holding_ = true;
+        WaitUntil(release);
+        return Status::OK();
+      });
+      holder_status_ = engine_->Run(dtxn, std::move(g));
+    });
+    ASSERT_TRUE(WaitUntil([this] { return holding_.load(); }));
+    SleepMs(5);  // a's executor finishes its batch and parks
+  }
+
+  Database db_{SmallDb()};
+  TableId a_ = 0, b_ = 0;
+  std::unique_ptr<DoraEngine> engine_;
+  std::thread holder_;
+  std::atomic<bool> holding_{false};
+  Status holder_status_;
+};
+
+TEST_F(BorrowConflictTest, BorrowedActionParksAndOwnerGrantsIt) {
+  StartEngine(/*local_wait_timeout_us=*/10'000'000);
+  std::atomic<bool> open{false};
+  StartHolder([&] { return open.load(); });
+  const uint64_t borrowed0 = BorrowedActions();
+  std::atomic<bool> ran{false};
+  std::thread::id ran_on, client_id;
+  Status s;
+  std::thread client([&] {
+    client_id = std::this_thread::get_id();
+    auto dtxn = engine_->BeginTxn();
+    FlowGraph g;
+    g.AddPhase().AddAction(a_, 7, LocalMode::kX, [&](ActionEnv&) {
+      ran_on = std::this_thread::get_id();
+      ran = true;
+      return Status::OK();
+    });
+    s = engine_->Run(dtxn, std::move(g));
+  });
+  ASSERT_TRUE(WaitUntil([&] { return BorrowedActions() > borrowed0; }))
+      << "the parked owner was not borrowed";
+  SleepMs(20);
+  EXPECT_FALSE(ran.load()) << "a conflicting borrowed action must park";
+  open = true;
+  client.join();
+  holder_.join();
+  EXPECT_TRUE(holder_status_.ok()) << holder_status_.ToString();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(ran.load());
+  EXPECT_NE(ran_on, client_id)
+      << "the owner executor grants and runs the parked action";
+  EXPECT_EQ(engine_->txns_committed(), 2u);
+}
+
+TEST_F(BorrowConflictTest, DeadlockWithBorrowedWaiterExpires) {
+  // A wait-for cycle: the client's borrowed action waits for the holder's
+  // lock on a:7, and the holder's phase-1 body waits for the client to
+  // finish. Nothing but the owner's local-wait expiry (150 ms) can break
+  // it, and the owner parked with no timer before the borrow — the borrow
+  // must wake it to re-park with one.
+  StartEngine(/*local_wait_timeout_us=*/150'000);
+  std::atomic<bool> client_done{false};
+  StartHolder([&] { return client_done.load(); });
+  const uint64_t borrowed0 = BorrowedActions();
+  const auto t0 = std::chrono::steady_clock::now();
+  auto dtxn = engine_->BeginTxn();
+  FlowGraph g;
+  g.AddPhase().AddAction(a_, 7, LocalMode::kX,
+                         [](ActionEnv&) { return Status::OK(); });
+  const Status s = engine_->Run(dtxn, std::move(g));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  client_done = true;
+  holder_.join();
+  EXPECT_EQ(BorrowedActions() - borrowed0, 1u);
+  EXPECT_TRUE(s.IsDeadlock()) << s.ToString();
+  EXPECT_LT(waited, std::chrono::seconds(3))
+      << "resolved by the expiry timer, not by the holder giving up";
+  EXPECT_TRUE(holder_status_.ok()) << holder_status_.ToString();
 }
 
 // ------------------------------------------------------------- PlanAdvisor

@@ -105,6 +105,24 @@ TEST(MpscQueueTest, ParkWakesOnPush) {
   EXPECT_GE(q.wakeups(), 1u);
 }
 
+TEST(MpscQueueTest, KickWakesParkedConsumerWithoutAMessage) {
+  MpscQueue q;
+  EXPECT_FALSE(q.ParkedAndEmpty());
+  EXPECT_FALSE(q.Kick()) << "a consumer that is not parked needs no wake";
+  std::thread consumer([&] {
+    EXPECT_EQ(q.Park(/*timeout_us=*/-1), nullptr) << "kicked, not fed";
+  });
+  while (!q.ParkedAndEmpty()) std::this_thread::yield();
+  EXPECT_TRUE(q.Kick());
+  consumer.join();
+  EXPECT_FALSE(q.ParkedAndEmpty());
+  EXPECT_EQ(q.wakeups(), 1u);
+  // The retracted sentinel leaves an ordinary empty queue behind.
+  TestNode n;
+  EXPECT_FALSE(q.Push(&n));
+  EXPECT_EQ(q.TryDrain(), &n);
+}
+
 TEST(MpscQueueTest, CloseParkRaceDeliversEverythingOnce) {
   // Producers hammer a consumer that parks with tiny timeouts; a stop node
   // lands somewhere in the middle. Every node (including the stop) must be

@@ -4,8 +4,10 @@
 // release on top of it.
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "dora/dora_engine.h"
 #include "engine/database.h"
 #include "log/recovery.h"
+#include "obs/metrics.h"
 #include "plog/partitioned_log_manager.h"
 #include "util/rng.h"
 
@@ -1061,6 +1064,72 @@ TEST(PlogDoraTest, PipelinedCommitKeepsIncrementsAcrossExecutors) {
     sum += std::stoi(out);
   }
   EXPECT_EQ(sum, kClients * kPerClient) << "an acked increment was lost";
+}
+
+TEST(PlogDoraTest, BorrowedPipelinedCommitLandsOnOwnersPartition) {
+  // A client bound to partition 3 runs single-action transactions owned by
+  // executor 1 (partition 1) on an idle engine, so it borrows executor 1:
+  // each commit record must still go to partition 1 and be acked through
+  // partition 1's ack queue, and the client's own binding must come back.
+  Database db(PlogDb(/*parts=*/4));
+  TableId table;
+  ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
+  Rid rid;
+  {
+    auto setup = db.Begin();
+    ASSERT_TRUE(db.Insert(setup.get(), table, "0", &rid,
+                          AccessOptions::Baseline()).ok());
+    ASSERT_TRUE(db.Commit(setup.get()).ok());
+  }
+  dora::DoraEngine::Options opts;
+  opts.pipelined_commit = true;
+  dora::DoraEngine engine(&db, opts);
+  engine.RegisterTable(table, 100, 2);  // key 60 -> executor 1
+  engine.Start();
+  obs::Counter* borrowed =
+      obs::MetricsRegistry::Default().GetCounter("dora.inbox.borrowed",
+                                                 "actions");
+  const uint64_t borrowed0 = borrowed->Value();
+
+  Plm(&db)->BindThisThread(3);
+  constexpr int kTxns = 20;
+  std::set<TxnId> ids;
+  for (int i = 0; i < kTxns; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));  // owner parks
+    auto dtxn = engine.BeginTxn();
+    ids.insert(dtxn->txn()->id());
+    dora::FlowGraph g;
+    g.AddPhase().AddAction(
+        table, 60, dora::LocalMode::kX, [&](dora::ActionEnv& env) {
+          std::string cur;
+          DORADB_RETURN_NOT_OK(
+              env.db->Read(env.txn, table, rid, &cur, AccessOptions::NoCc()));
+          return env.db->Update(env.txn, table, rid,
+                                std::to_string(std::stoi(cur) + 1),
+                                AccessOptions::NoCc());
+        });
+    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    ASSERT_EQ(Plm(&db)->CurrentPartition(), 3u)
+        << "the borrowed run must restore the client's partition";
+  }
+  EXPECT_GT(borrowed->Value() - borrowed0, uint64_t{kTxns / 2});
+  EXPECT_EQ(engine.txns_pipelined(), static_cast<uint64_t>(kTxns));
+  engine.Stop();
+
+  // Every acked commit is stable, and on the owner's partition only.
+  std::map<uint32_t, int> commits_on;
+  for (uint32_t p = 0; p < 4; ++p) {
+    for (const LogRecord& r : Plm(&db)->partition(p)->ReadStable(nullptr)) {
+      if (r.type == LogType::kCommit && ids.count(r.txn) != 0) {
+        ++commits_on[p];
+      }
+    }
+  }
+  EXPECT_EQ(commits_on[1], kTxns);
+  EXPECT_EQ(commits_on.size(), 1u) << "a commit left the owner's partition";
+  std::string out;
+  ASSERT_TRUE(db.catalog()->Heap(table)->Get(rid, &out).ok());
+  EXPECT_EQ(out, std::to_string(kTxns));
 }
 
 }  // namespace

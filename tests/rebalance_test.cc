@@ -12,12 +12,17 @@
 //  3. The ticket-fenced cutover serializes against live conflicting load:
 //     TPC-B transactions straddle ~20 migrations of the account table and
 //     the balance invariant holds with zero failed transactions.
-//  4. A split routing table written through the durable catalog is
+//  4. A client borrowing an executor (running an action in its parked
+//     place) while a fence holds it parks, and bounces to the new owner
+//     once the rule is published.
+//  5. A split routing table written through the durable catalog is
 //     recovered by a second lifetime via RegisterFromCatalog alone — no
 //     re-registration by workload code.
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -28,6 +33,7 @@
 
 #include "dora/dora_engine.h"
 #include "dora/rebalance.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "workloads/tpcb/tpcb.h"
 
@@ -320,6 +326,87 @@ TEST(RebalanceTest, TicketFenceCutoverKeepsTpcbInvariants) {
   EXPECT_EQ(engine.routing_of(account)->Current()->version, 20u);
   ASSERT_TRUE(workload.CheckConsistency().ok())
       << "balance invariant broken by a migration";
+}
+
+// ----------------- borrowed execution racing the migration fence
+
+TEST(RebalanceTest, BorrowRacingFenceBouncesStaleRoutedAction) {
+  // A client borrows executor 0 for key 10 while a migration that hands
+  // key 10 to executor 1 holds executor 0's fence lock. The borrowed
+  // action parks behind the fence, is granted only after the new rule is
+  // published, and then must bounce to executor 1 instead of running on
+  // the borrowed executor.
+  Database db(SmallDb());
+  TableId table;
+  ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
+  DoraEngine::Options o;
+  o.local_wait_timeout_us = 10'000'000;  // the fence, not expiry, decides
+  DoraEngine engine(&db, o);
+  engine.RegisterTable(table, /*key_space=*/100, /*executors=*/2);
+  engine.Start();
+  auto sleep_ms = [](int ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  };
+  auto wait_until = [&](const std::function<bool()>& done) {
+    for (int i = 0; i < 5000 && !done(); ++i) sleep_ms(1);
+    return done();
+  };
+  obs::Counter* borrowed =
+      obs::MetricsRegistry::Default().GetCounter("dora.inbox.borrowed",
+                                                 "actions");
+
+  // Wedge executor 1 so the fence holds executor 0's whole-dataset X lock
+  // while it waits for executor 1.
+  std::atomic<bool> wedged{false}, open{false};
+  std::thread wedge([&] {
+    auto dtxn = engine.BeginTxn();
+    FlowGraph g;
+    g.AddPhase().AddAction(table, 60, LocalMode::kX, [&](ActionEnv&) {
+      wedged = true;
+      wait_until([&] { return open.load(); });
+      return Status::OK();
+    });
+    EXPECT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+  });
+  ASSERT_TRUE(wait_until([&] { return wedged.load(); }));
+
+  auto rule = std::make_shared<RoutingRule>();
+  rule->boundaries = {5};  // keys 5.. move to executor 1
+  rule->executor_of_dataset = {0, 1};
+  rule->version = 1;
+  const uint64_t tickets0 = engine.tickets().issued();
+  Status migrated;
+  std::thread migrate(
+      [&] { migrated = engine.MigrateRoutingRule(table, rule); });
+  ASSERT_TRUE(wait_until([&] { return engine.tickets().issued() > tickets0; }));
+  sleep_ms(20);  // executor 0 grants its fence lock and parks
+
+  const uint64_t borrowed0 = borrowed->Value();
+  std::atomic<uint32_t> ran_at{999};
+  Status s;
+  std::thread client([&] {
+    auto dtxn = engine.BeginTxn();
+    FlowGraph g;
+    g.AddPhase().AddAction(table, 10, LocalMode::kX, [&](ActionEnv& env) {
+      ran_at = env.self->index_in_table();
+      return Status::OK();
+    });
+    s = engine.Run(dtxn, std::move(g));
+  });
+  ASSERT_TRUE(wait_until([&] { return borrowed->Value() > borrowed0; }))
+      << "executor 0 was not borrowed";
+  sleep_ms(10);
+  EXPECT_EQ(ran_at.load(), 999u) << "the action must park behind the fence";
+  open = true;
+  wedge.join();
+  migrate.join();
+  client.join();
+  EXPECT_TRUE(migrated.ok()) << migrated.ToString();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(engine.RouteIndex(table, 10), 1u);
+  EXPECT_EQ(ran_at.load(), 1u)
+      << "a stale-routed borrowed action must bounce to the new owner";
+  engine.Stop();
 }
 
 // ----------------- satellite 2c: split survives restart via catalog

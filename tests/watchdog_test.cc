@@ -3,8 +3,8 @@
 // detection through the watchdog (heartbeats and progress probes),
 // blackbox report structure, and the live obs endpoint (routing and a
 // real socket round trip). Ends with an end-to-end rig: a deliberately
-// stalled executor must flip /healthz to 503 and leave a flight-recorder
-// dump under <data_dir>/blackbox/.
+// stalled executor (its action borrowed by the client) must flip /healthz
+// to 503 and leave a flight-recorder dump under <data_dir>/blackbox/.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -412,11 +412,19 @@ TEST(WatchdogEndToEndTest, StalledExecutorTripsHealthzAndDumpsBlackbox) {
 
     // A transaction whose action body wedges its executor for far longer
     // than the stall threshold — the "stuck in an action" failure mode.
+    // The engine is idle, so the client borrows the parked owner and the
+    // body runs on the client thread: the owner's heartbeat must still
+    // show the stall.
     std::thread client([&] {
+      SleepMs(50);  // let the owner park
+      const std::thread::id client_id = std::this_thread::get_id();
       auto dtxn = engine.BeginTxn();
       dora::FlowGraph g;
       g.AddPhase().AddAction(table, 5, dora::LocalMode::kX,
-                             [](dora::ActionEnv&) {
+                             [client_id](dora::ActionEnv&) {
+                               EXPECT_EQ(std::this_thread::get_id(),
+                                         client_id)
+                                   << "the stalled body did not run borrowed";
                                SleepMs(800);
                                return Status::OK();
                              });
